@@ -232,9 +232,47 @@ fn bench_uniform_churn(c: &mut Criterion) {
     group.finish();
 }
 
+/// The harness's single-instance conditioning check `{u ∼ v}`: the
+/// early-exiting BFS (`exec.census_threads == 1`) vs a whole census on one
+/// or two workers, on the instance the harness actually routes over (a
+/// Bernoulli-edge `FaultInstance`, lazily hashed). With a giant component
+/// (p = 0.5) the BFS must chase most of the graph through its visited map
+/// while the census scans edges in order; below the `1/n` threshold
+/// (H₁₆ at p = 0.05) `u`'s component is tiny, the BFS stops at once, and a
+/// census still touches every edge. The case names read
+/// `<check>/<n>@<p>`.
+fn bench_conditioning_bfs_vs_census(c: &mut Criterion) {
+    use faultnet_faultmodel::{BernoulliEdges, FaultModel};
+    use faultnet_percolation::bfs::connected;
+    let mut group = c.benchmark_group("conditioning/bfs_vs_census");
+    group.warm_up_time(Duration::from_millis(300));
+    group.measurement_time(Duration::from_secs(1));
+    group.sample_size(10);
+    for &(n, p) in &[(8u32, 0.5), (10, 0.5), (12, 0.5), (14, 0.5), (16, 0.05)] {
+        let cube = Hypercube::new(n);
+        let (u, v) = cube.canonical_pair();
+        let instance = BernoulliEdges::new().instance(&cube, PercolationConfig::new(p, 7), None);
+        let point = format!("{n}@{p}");
+        group.bench_with_input(BenchmarkId::new("bfs", &point), &n, |b, _| {
+            b.iter(|| connected(&cube, &instance, u, v))
+        });
+        for &threads in &[1usize, 2] {
+            let name = format!("census{threads}");
+            group.bench_with_input(BenchmarkId::new(name, &point), &n, |b, _| {
+                b.iter(|| {
+                    ComponentCensus::compute_parallel(&cube, &instance, threads)
+                        .same_component(u, v)
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_census_seq_vs_par,
+    bench_conditioning_bfs_vs_census,
     bench_hypercube_point_census_threads,
     bench_incremental_vs_rescan,
     bench_uniform_churn

@@ -3,6 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use faultnet_experiments::double_tree::{measure_connection_point, measure_tree_complexity};
+use faultnet_experiments::TrialExec;
+use faultnet_faultmodel::BernoulliEdges;
 use faultnet_percolation::PercolationConfig;
 use faultnet_routing::complexity::ComplexityHarness;
 use faultnet_routing::tree::{LeafPenetrationRouter, PairedDfsOracleRouter};
@@ -33,17 +35,33 @@ fn bench_local_vs_oracle(c: &mut Criterion) {
     group.sample_size(10);
     for &depth in &[5u32, 7, 9] {
         group.bench_with_input(BenchmarkId::new("combined", depth), &depth, |b, &depth| {
-            b.iter(|| measure_tree_complexity(depth, 0.8, 8, 5, 1, 1));
+            b.iter(|| measure_tree_complexity(depth, 0.8, 8, 5, TrialExec::sequential()));
         });
     }
     let tt = DoubleBinaryTree::new(8);
     let (x, y) = tt.roots();
     let harness = ComplexityHarness::new(tt, PercolationConfig::new(0.8, 21));
     group.bench_function("local_only_depth8", |b| {
-        b.iter(|| harness.measure(&LeafPenetrationRouter::new(), x, y, 5))
+        b.iter(|| {
+            harness.measure_with_model(
+                &BernoulliEdges::new(),
+                &LeafPenetrationRouter::new(),
+                x,
+                y,
+                5,
+            )
+        })
     });
     group.bench_function("oracle_only_depth8", |b| {
-        b.iter(|| harness.measure(&PairedDfsOracleRouter::new(), x, y, 5))
+        b.iter(|| {
+            harness.measure_with_model(
+                &BernoulliEdges::new(),
+                &PairedDfsOracleRouter::new(),
+                x,
+                y,
+                5,
+            )
+        })
     });
     group.finish();
 }

@@ -3,6 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use faultnet_experiments::gnp::measure_gnp_point;
+use faultnet_experiments::TrialExec;
+use faultnet_faultmodel::BernoulliEdges;
 use faultnet_percolation::PercolationConfig;
 use faultnet_routing::complexity::ComplexityHarness;
 use faultnet_routing::gnp::{BidirectionalGrowthRouter, IncrementalLocalRouter};
@@ -18,7 +20,7 @@ fn bench_size_scaling(c: &mut Criterion) {
     for &n in &[60u64, 120, 240] {
         group.throughput(Throughput::Elements(n));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| measure_gnp_point(n, 2.0, 4, 9, 1, 1));
+            b.iter(|| measure_gnp_point(n, 2.0, 4, 9, TrialExec::sequential()));
         });
     }
     group.finish();
@@ -34,10 +36,26 @@ fn bench_local_vs_oracle(c: &mut Criterion) {
     let (u, v) = k.canonical_pair();
     let harness = ComplexityHarness::new(k, PercolationConfig::new(2.5 / n as f64, 77));
     group.bench_function("local", |b| {
-        b.iter(|| harness.measure(&IncrementalLocalRouter::new(), u, v, 4))
+        b.iter(|| {
+            harness.measure_with_model(
+                &BernoulliEdges::new(),
+                &IncrementalLocalRouter::new(),
+                u,
+                v,
+                4,
+            )
+        })
     });
     group.bench_function("oracle", |b| {
-        b.iter(|| harness.measure(&BidirectionalGrowthRouter::new(), u, v, 4))
+        b.iter(|| {
+            harness.measure_with_model(
+                &BernoulliEdges::new(),
+                &BidirectionalGrowthRouter::new(),
+                u,
+                v,
+                4,
+            )
+        })
     });
     group.finish();
 }

@@ -4,6 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use faultnet_experiments::hypercube_transition::measure_alpha_point;
+use faultnet_experiments::TrialExec;
+use faultnet_faultmodel::BernoulliEdges;
 use faultnet_percolation::PercolationConfig;
 use faultnet_routing::bfs::FloodRouter;
 use faultnet_routing::complexity::ComplexityHarness;
@@ -22,7 +24,7 @@ fn bench_alpha_sweep(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("alpha_{alpha}")),
             &alpha,
             |b, &alpha| {
-                b.iter(|| measure_alpha_point(9, alpha, 3, 20_000, 17, 1, 1));
+                b.iter(|| measure_alpha_point(9, alpha, 3, 20_000, 17, TrialExec::sequential()));
             },
         );
     }
@@ -38,10 +40,12 @@ fn bench_router_comparison(c: &mut Criterion) {
     let (u, v) = cube.canonical_pair();
     let harness = ComplexityHarness::new(cube, PercolationConfig::new(0.5, 5));
     group.bench_function("segment", |b| {
-        b.iter(|| harness.measure(&SegmentRouter::default(), u, v, 3))
+        b.iter(|| {
+            harness.measure_with_model(&BernoulliEdges::new(), &SegmentRouter::default(), u, v, 3)
+        })
     });
     group.bench_function("flood", |b| {
-        b.iter(|| harness.measure(&FloodRouter::new(), u, v, 3))
+        b.iter(|| harness.measure_with_model(&BernoulliEdges::new(), &FloodRouter::new(), u, v, 3))
     });
     group.finish();
 }

@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use faultnet_experiments::hypercube_lower_bound::compare_bound_to_measurement;
+use faultnet_experiments::TrialExec;
 use faultnet_routing::lower_bound::{hypercube_ball_log_eta, hypercube_required_log_probes};
 use std::time::Duration;
 
@@ -36,7 +37,7 @@ fn bench_monte_carlo_bound(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &[8u32, 9, 10] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| compare_bound_to_measurement(n, 0.7, 2, 10, 3, 1, 1));
+            b.iter(|| compare_bound_to_measurement(n, 0.7, 2, 10, 3, TrialExec::sequential()));
         });
     }
     group.finish();

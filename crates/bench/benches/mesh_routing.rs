@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use faultnet_experiments::mesh_routing::measure_mesh_point;
+use faultnet_experiments::TrialExec;
 use std::time::Duration;
 
 fn bench_distance_scaling(c: &mut Criterion) {
@@ -16,7 +17,9 @@ fn bench_distance_scaling(c: &mut Criterion) {
             BenchmarkId::from_parameter(distance),
             &distance,
             |b, &distance| {
-                b.iter(|| measure_mesh_point(2, 0.7, distance, 4, false, 11, 1, 1));
+                b.iter(|| {
+                    measure_mesh_point(2, 0.7, distance, 4, false, 11, TrialExec::sequential())
+                });
             },
         );
     }
@@ -33,7 +36,7 @@ fn bench_near_threshold(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("p_{p}")),
             &p,
             |b, &p| {
-                b.iter(|| measure_mesh_point(2, p, 16, 4, false, 13, 1, 1));
+                b.iter(|| measure_mesh_point(2, p, 16, 4, false, 13, TrialExec::sequential()));
             },
         );
     }

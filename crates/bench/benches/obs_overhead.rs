@@ -21,6 +21,7 @@
 //! bytes is also caught.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use faultnet_faultmodel::{trials::TrialExec, BernoulliEdges};
 use faultnet_percolation::components::ComponentCensus;
 use faultnet_percolation::sample::BitsetSample;
 use faultnet_percolation::PercolationConfig;
@@ -95,12 +96,13 @@ fn bench_routing_states(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(2));
     group.throughput(Throughput::Elements(32));
+    let exec = TrialExec::sequential().with_trial_batch(64);
     for state in STATES {
         set_state(state);
         group.bench_with_input(BenchmarkId::new(state, 32), &state, |b, _| {
             b.iter(|| {
                 harness
-                    .measure_batched(&FloodRouter::new(), u, v, 32, 64, 1)
+                    .measure(&BernoulliEdges::new(), &FloodRouter::new(), u, v, 32, exec)
                     .conditioned_trials()
             })
         });

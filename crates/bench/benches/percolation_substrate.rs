@@ -6,9 +6,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use faultnet_experiments::chemical_distance::measure_stretch_point;
 use faultnet_experiments::exec::TrialExec;
 use faultnet_experiments::hypercube_giant::measure_hypercube_point;
+use faultnet_experiments::threshold::giant_fraction_sweep;
+use faultnet_faultmodel::BernoulliEdges;
 use faultnet_percolation::components::ComponentCensus;
 use faultnet_percolation::sample::{BitsetSample, EdgeStates, FrozenSample};
-use faultnet_percolation::threshold::mean_giant_fraction;
 use faultnet_percolation::PercolationConfig;
 use faultnet_routing::bfs::FloodRouter;
 use faultnet_routing::complexity::ComplexityHarness;
@@ -136,7 +137,7 @@ fn bench_harness_parallelism(c: &mut Criterion) {
     group.bench_function("sequential", |b| {
         b.iter(|| {
             harness
-                .measure(&FloodRouter::new(), u, v, trials)
+                .measure_with_model(&BernoulliEdges::new(), &FloodRouter::new(), u, v, trials)
                 .successes()
         })
     });
@@ -146,8 +147,16 @@ fn bench_harness_parallelism(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
+                    let exec = TrialExec::sequential().with_threads(threads);
                     harness
-                        .measure_parallel(&FloodRouter::new(), u, v, trials, threads)
+                        .measure(
+                            &BernoulliEdges::new(),
+                            &FloodRouter::new(),
+                            u,
+                            v,
+                            trials,
+                            exec,
+                        )
                         .successes()
                 })
             },
@@ -179,7 +188,7 @@ fn bench_thresholds_and_stretch(c: &mut Criterion) {
     group.sample_size(10);
     let torus = Torus::new(2, 24);
     group.bench_function("giant_fraction_torus24", |b| {
-        b.iter(|| mean_giant_fraction(&torus, 0.55, 3, 11))
+        b.iter(|| giant_fraction_sweep(&torus, &[0.55], 3, 11, TrialExec::sequential()))
     });
     group.bench_function("chemical_stretch_d16", |b| {
         b.iter(|| measure_stretch_point(0.7, 16, 6, 3, 1))

@@ -16,7 +16,9 @@
 
 use faultnet_analysis::stats::Summary;
 use faultnet_analysis::table::{fmt_float, Table};
+use faultnet_faultmodel::{BernoulliEdges, FaultInstance};
 use faultnet_percolation::sample::{BitsetSample, EdgeStates, FrozenSample};
+use faultnet_percolation::trial_batch::LaneView;
 use faultnet_percolation::PercolationConfig;
 use faultnet_routing::bfs::FloodRouter;
 use faultnet_routing::complexity::ComplexityHarness;
@@ -28,6 +30,7 @@ use faultnet_topology::hypercube::Hypercube;
 use faultnet_topology::mesh::Mesh;
 use faultnet_topology::Topology;
 
+use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
 
 /// Summary of one router in the hypercube router ablation.
@@ -43,41 +46,57 @@ pub struct RouterAblationRow {
     pub median_probes: f64,
 }
 
-/// Runs the hypercube router ablation at one `(n, p)` point, fanning the
-/// conditioned trials across `threads` workers (1 = sequential; the result
-/// is identical either way).
+/// Runs the hypercube router ablation at one `(n, p)` point under `exec`
+/// (the result is identical for every value).
 pub fn hypercube_router_ablation(
     dimension: u32,
     p: f64,
     trials: u32,
     base_seed: u64,
-    threads: usize,
-    census_threads: usize,
+    exec: TrialExec,
 ) -> Vec<RouterAblationRow> {
     let cube = Hypercube::new(dimension);
-    let (u, v) = cube.canonical_pair();
-    let harness = ComplexityHarness::new(cube, PercolationConfig::new(p, base_seed))
-        .with_census_threads(census_threads);
-    let routers: Vec<Box<dyn Router<Hypercube, faultnet_percolation::EdgeSampler> + Sync>> = vec![
-        Box::new(GreedyHypercubeRouter::strict()),
-        Box::new(GreedyHypercubeRouter::with_detours(100_000)),
-        Box::new(DepthFirstRouter::new(NeighborOrder::GreedyTowardsTarget)),
-        Box::new(SegmentRouter::default()),
-        Box::new(FloodRouter::new()),
-    ];
-    routers
-        .iter()
-        .map(|router| {
-            let stats = harness.measure_parallel(router, u, v, trials, threads);
-            let summary = Summary::from_counts(stats.probe_counts().iter().copied());
-            RouterAblationRow {
-                router: router.name(),
-                success_rate: stats.success_rate(),
-                mean_probes: summary.mean(),
-                median_probes: summary.median(),
-            }
-        })
-        .collect()
+    let harness = ComplexityHarness::new(cube, PercolationConfig::new(p, base_seed));
+    vec![
+        router_row(&harness, &GreedyHypercubeRouter::strict(), trials, exec),
+        router_row(
+            &harness,
+            &GreedyHypercubeRouter::with_detours(100_000),
+            trials,
+            exec,
+        ),
+        router_row(
+            &harness,
+            &DepthFirstRouter::new(NeighborOrder::GreedyTowardsTarget),
+            trials,
+            exec,
+        ),
+        router_row(&harness, &SegmentRouter::default(), trials, exec),
+        router_row(&harness, &FloodRouter::new(), trials, exec),
+    ]
+}
+
+/// One row of the router ablation: `router` on the canonical pair.
+fn router_row<R>(
+    harness: &ComplexityHarness<Hypercube>,
+    router: &R,
+    trials: u32,
+    exec: TrialExec,
+) -> RouterAblationRow
+where
+    R: Router<Hypercube, FaultInstance>
+        + for<'b, 'g> Router<Hypercube, LaneView<'b, 'g, Hypercube>>
+        + Sync,
+{
+    let (u, v) = harness.graph().canonical_pair();
+    let stats = harness.measure(&BernoulliEdges::new(), router, u, v, trials, exec);
+    let summary = Summary::from_counts(stats.probe_counts().iter().copied());
+    RouterAblationRow {
+        router: stats.router().to_string(),
+        success_rate: stats.success_rate(),
+        mean_probes: summary.mean(),
+        median_probes: summary.median(),
+    }
 }
 
 /// Runs the mesh escalation ablation at one `(p, distance)` point; returns
@@ -87,13 +106,11 @@ pub fn mesh_escalation_ablation(
     side: u64,
     trials: u32,
     base_seed: u64,
-    threads: usize,
-    census_threads: usize,
+    exec: TrialExec,
 ) -> Vec<(String, f64)> {
     let mesh = Mesh::new(2, side);
     let (u, v) = mesh.canonical_pair();
-    let harness = ComplexityHarness::new(mesh, PercolationConfig::new(p, base_seed))
-        .with_census_threads(census_threads);
+    let harness = ComplexityHarness::new(mesh, PercolationConfig::new(p, base_seed));
     let variants: Vec<(String, MeshLandmarkRouter)> = vec![
         ("unbounded (paper)".to_string(), MeshLandmarkRouter::new()),
         (
@@ -108,7 +125,7 @@ pub fn mesh_escalation_ablation(
     variants
         .into_iter()
         .map(|(label, router)| {
-            let stats = harness.measure_parallel(&router, u, v, trials, threads);
+            let stats = harness.measure(&BernoulliEdges::new(), &router, u, v, trials, exec);
             (
                 label,
                 Summary::from_counts(stats.probe_counts().iter().copied()).mean(),
@@ -157,13 +174,9 @@ pub struct AblationExperiment {
     pub trials: u32,
     /// Base seed.
     pub base_seed: u64,
-    /// Worker threads for the conditioned trials (1 = sequential; the
-    /// reported numbers are identical for every value).
-    pub threads: usize,
-    /// Intra-census worker threads for the conditioning checks
-    /// (1 = sequential; the reported numbers are identical for every
-    /// value).
-    pub census_threads: usize,
+    /// Wall-clock execution knobs (the reported numbers are identical for
+    /// every value).
+    pub exec: TrialExec,
 }
 
 impl AblationExperiment {
@@ -176,8 +189,7 @@ impl AblationExperiment {
             mesh_p: 0.65,
             trials: effort.pick(10, 40),
             base_seed: 0xFA10,
-            threads: 1,
-            census_threads: 1,
+            exec: TrialExec::sequential(),
         }
     }
 
@@ -191,17 +203,10 @@ impl AblationExperiment {
         Self::with_effort(Effort::Full)
     }
 
-    /// Sets the worker-thread count (the `--threads` knob of the binaries).
+    /// Sets the execution knobs.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
+    pub fn with_exec(mut self, exec: TrialExec) -> Self {
+        self.exec = exec;
         self
     }
 
@@ -223,8 +228,7 @@ impl AblationExperiment {
                 p,
                 self.trials,
                 self.base_seed.wrapping_add(pi as u64 * 67),
-                self.threads,
-                self.census_threads,
+                self.exec,
             );
             for row in rows {
                 table.push_row([
@@ -254,8 +258,7 @@ impl AblationExperiment {
             self.mesh_side,
             self.trials,
             self.base_seed ^ 0x1111,
-            self.threads,
-            self.census_threads,
+            self.exec,
         ) {
             mesh_table.push_row([label, fmt_float(probes)]);
         }
@@ -284,7 +287,15 @@ mod tests {
 
     #[test]
     fn router_ablation_orders_routers_sensibly() {
-        let rows = hypercube_router_ablation(9, 0.6, 10, 3, 2, 2);
+        let rows = hypercube_router_ablation(
+            9,
+            0.6,
+            10,
+            3,
+            TrialExec::sequential()
+                .with_threads(2)
+                .with_census_threads(2),
+        );
         assert_eq!(rows.len(), 5);
         let flood = rows.iter().find(|r| r.router.contains("flood")).unwrap();
         let segment = rows.iter().find(|r| r.router.contains("segment")).unwrap();
@@ -295,7 +306,13 @@ mod tests {
 
     #[test]
     fn mesh_escalation_variants_all_complete() {
-        let rows = mesh_escalation_ablation(0.7, 13, 8, 5, 1, 2);
+        let rows = mesh_escalation_ablation(
+            0.7,
+            13,
+            8,
+            5,
+            TrialExec::sequential().with_census_threads(2),
+        );
         assert_eq!(rows.len(), 3);
         for (label, probes) in rows {
             assert!(probes.is_finite(), "{label} produced no successes");

@@ -18,9 +18,8 @@ fn main() {
     args.warn_fault_model_ignored("exp_ablation");
     args.warn_trial_batch_ignored("exp_ablation");
     args.warn_rescan_ignored("exp_ablation");
-    let experiment = AblationExperiment::with_effort(args.effort)
-        .with_threads(args.threads)
-        .with_census_threads(args.census_threads);
+    let experiment =
+        AblationExperiment::with_effort(args.effort).with_exec(args.exec().with_trial_batch(0));
     args.print(&experiment.run());
     args.finish_obs();
 }

@@ -27,8 +27,7 @@ fn main() {
     args.init_obs();
     args.warn_trial_batch_ignored("exp_churn");
     let experiment = ChurnExperiment::with_effort(args.effort)
-        .with_threads(args.threads)
-        .with_census_threads(args.census_threads)
+        .with_exec(args.exec().with_trial_batch(0))
         .with_rescan(args.rescan)
         .with_fault_model(args.fault_model);
     args.print(&experiment.run());

@@ -27,9 +27,7 @@ fn main() {
     args.init_obs();
     args.warn_rescan_ignored("exp_fault_models");
     let experiment = FaultModelsExperiment::with_effort(args.effort)
-        .with_threads(args.threads)
-        .with_census_threads(args.census_threads)
-        .with_trial_batch(args.trial_batch)
+        .with_exec(args.exec())
         .with_fault_model(args.fault_model);
     args.print(&experiment.run());
     args.finish_obs();

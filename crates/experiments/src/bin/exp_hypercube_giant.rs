@@ -19,10 +19,7 @@ fn main() {
     args.init_obs();
     args.warn_fault_model_ignored("exp_hypercube_giant");
     args.warn_rescan_ignored("exp_hypercube_giant");
-    let experiment = HypercubeGiantExperiment::with_effort(args.effort)
-        .with_threads(args.threads)
-        .with_census_threads(args.census_threads)
-        .with_trial_batch(args.trial_batch);
+    let experiment = HypercubeGiantExperiment::with_effort(args.effort).with_exec(args.exec());
     args.print(&experiment.run());
     args.finish_obs();
 }

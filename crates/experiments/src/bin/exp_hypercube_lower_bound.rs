@@ -19,8 +19,7 @@ fn main() {
     args.warn_trial_batch_ignored("exp_hypercube_lower_bound");
     args.warn_rescan_ignored("exp_hypercube_lower_bound");
     let experiment = HypercubeLowerBoundExperiment::with_effort(args.effort)
-        .with_threads(args.threads)
-        .with_census_threads(args.census_threads);
+        .with_exec(args.exec().with_trial_batch(0));
     args.print(&experiment.run());
     args.finish_obs();
 }

@@ -19,10 +19,7 @@ fn main() {
     args.init_obs();
     args.warn_fault_model_ignored("exp_mesh_threshold");
     args.warn_rescan_ignored("exp_mesh_threshold");
-    let experiment = MeshThresholdExperiment::with_effort(args.effort)
-        .with_threads(args.threads)
-        .with_census_threads(args.census_threads)
-        .with_trial_batch(args.trial_batch);
+    let experiment = MeshThresholdExperiment::with_effort(args.effort).with_exec(args.exec());
     args.print(&experiment.run());
     args.finish_obs();
 }

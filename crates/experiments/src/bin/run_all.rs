@@ -27,12 +27,7 @@ fn main() {
     args.init_obs();
     args.warn_fault_model_ignored("run_all");
     args.warn_rescan_ignored("run_all");
-    let reports = run_all_reports(
-        args.effort,
-        args.threads,
-        args.census_threads,
-        args.trial_batch,
-    );
+    let reports = run_all_reports(args.effort, args.exec());
 
     for report in &reports {
         args.print(report);

@@ -16,6 +16,7 @@ use faultnet_percolation::chemical::{
 use faultnet_topology::torus::Torus;
 use faultnet_topology::Topology;
 
+use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
 
 /// Stretch statistics at one `(p, distance)` point.
@@ -95,14 +96,9 @@ pub struct ChemicalDistanceExperiment {
     pub trials: u32,
     /// Base seed.
     pub base_seed: u64,
-    /// Worker threads (1 = sequential; the reported numbers are identical
-    /// for every value).
-    pub threads: usize,
-    /// Intra-census worker threads, accepted for CLI uniformity: the
-    /// chemical-distance pipeline runs BFS distance passes, not component
-    /// censuses, so the knob has nothing to parallelise here and never
-    /// changes the numbers.
-    pub census_threads: usize,
+    /// Wall-clock execution knobs (the reported numbers are identical for
+    /// every value).
+    pub exec: TrialExec,
 }
 
 impl ChemicalDistanceExperiment {
@@ -115,8 +111,7 @@ impl ChemicalDistanceExperiment {
             distances: effort.pick(vec![8, 16], vec![10, 20, 40, 60, 80]),
             trials: effort.pick(15, 60),
             base_seed: 0xFA06,
-            threads: 1,
-            census_threads: 1,
+            exec: TrialExec::sequential(),
         }
     }
 
@@ -130,17 +125,10 @@ impl ChemicalDistanceExperiment {
         Self::with_effort(Effort::Full)
     }
 
-    /// Sets the worker-thread count (the `--threads` knob of the binaries).
+    /// Sets the execution knobs.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
+    pub fn with_exec(mut self, exec: TrialExec) -> Self {
+        self.exec = exec;
         self
     }
 
@@ -166,7 +154,8 @@ impl ChemicalDistanceExperiment {
                     .base_seed
                     .wrapping_add((pi as u64) << 16)
                     .wrapping_add(di as u64);
-                let point = measure_stretch_point(p, distance, self.trials, seed, self.threads);
+                let point =
+                    measure_stretch_point(p, distance, self.trials, seed, self.exec.threads);
                 table.push_row([
                     distance.to_string(),
                     fmt_float(point.connectivity_rate),

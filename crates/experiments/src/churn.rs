@@ -38,6 +38,7 @@ use faultnet_topology::hypercube::Hypercube;
 use faultnet_topology::mesh::Mesh;
 use faultnet_topology::Topology;
 
+use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
 
 /// One trial's time series: per timestep `0..=timesteps`, the number of
@@ -138,13 +139,9 @@ pub struct ChurnExperiment {
     /// Static base model lowered to churn (the `--fault-model` knob;
     /// Bernoulli edge faults by default).
     pub model: FaultModelSpec,
-    /// Worker threads (1 = sequential; the reported numbers are identical
-    /// for every value).
-    pub threads: usize,
-    /// Intra-census worker threads, used by the `--rescan` path's
-    /// from-scratch censuses (the incremental engine is sequential by
-    /// nature; the reported numbers are identical for every value).
-    pub census_threads: usize,
+    /// Wall-clock execution knobs (the reported numbers are identical for
+    /// every value).
+    pub exec: TrialExec,
     /// Force a from-scratch census per timestep instead of the incremental
     /// engine (the `--rescan` knob; the reported numbers are identical
     /// either way — that equivalence is the point).
@@ -169,8 +166,7 @@ impl ChurnExperiment {
             trials: effort.pick(4, 6),
             base_seed: 0xC4A2,
             model: FaultModelSpec::BernoulliEdges,
-            threads: 1,
-            census_threads: 1,
+            exec: TrialExec::sequential(),
             rescan: false,
         }
     }
@@ -185,17 +181,10 @@ impl ChurnExperiment {
         Self::with_effort(Effort::Full)
     }
 
-    /// Sets the worker-thread count (the `--threads` knob of the binaries).
+    /// Sets the execution knobs.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
+    pub fn with_exec(mut self, exec: TrialExec) -> Self {
+        self.exec = exec;
         self
     }
 
@@ -221,7 +210,7 @@ impl ChurnExperiment {
         let base = self.model.build();
         let dynamic = Churned::new(&base, self.fail_rate, self.repair_rate)
             .with_heterogeneity(self.heterogeneity);
-        let per_trial = Sweep::over(0..self.trials).run_parallel(self.threads.max(1), |&t| {
+        let per_trial = Sweep::over(0..self.trials).run_parallel(self.exec.threads, |&t| {
             trial_series(
                 graph,
                 &dynamic,
@@ -231,7 +220,7 @@ impl ChurnExperiment {
                     .wrapping_add(t as u64),
                 self.timesteps,
                 self.rescan,
-                self.census_threads,
+                self.exec.census_threads,
             )
         });
         // Fold in trial order: the f64 sums (and therefore every rendered
@@ -347,15 +336,18 @@ mod tests {
         let baseline = ChurnExperiment::quick().run().render();
         for threads in [2, 4] {
             let threaded = ChurnExperiment::quick()
-                .with_threads(threads)
+                .with_exec(TrialExec::sequential().with_threads(threads))
                 .run()
                 .render();
             assert_eq!(baseline, threaded, "threads = {threads}");
         }
         let census_threaded = ChurnExperiment::quick()
             .with_rescan(true)
-            .with_census_threads(2)
-            .with_threads(2)
+            .with_exec(
+                TrialExec::sequential()
+                    .with_census_threads(2)
+                    .with_threads(2),
+            )
             .run()
             .render();
         assert_eq!(baseline, census_threaded);

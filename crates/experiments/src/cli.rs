@@ -14,8 +14,13 @@
 //!   census-based conditioning) on `N` workers through
 //!   `ComponentCensus::compute_parallel`. `N = 0` means "one worker per
 //!   available core"; the default of 1 keeps the sequential census, which
-//!   wins below roughly the n = 14 hypercube where per-census thread
-//!   spawning costs more than it saves. The parallel census is
+//!   wins below roughly the n = 10 hypercube, where per-census thread
+//!   spawning costs more than it saves (`conditioning/bfs_vs_census` in
+//!   the `census` bench target, p = 0.5, 2-core VM: H₈ 22 µs sequential
+//!   vs 85 µs on two workers, a tie at H₁₀, H₁₄ 4.2 ms vs 3.0 ms). On a
+//!   single routing instance the flag also swaps the early-exiting BFS
+//!   conditioning check for a census, which only pays with a giant
+//!   component (see `ComplexityHarness::measure`). The parallel census is
 //!   bit-identical to the sequential one (canonical min-vertex component
 //!   labels), so this knob, like `--threads`, never changes a single
 //!   emitted byte.
@@ -59,6 +64,7 @@
 
 use faultnet_faultmodel::FaultModelSpec;
 
+use crate::exec::TrialExec;
 use crate::report::Effort;
 
 /// Parsed experiment-binary arguments.
@@ -257,6 +263,15 @@ impl ExpArgs {
     /// skipped).
     pub fn parse_env() -> Self {
         Self::parse(std::env::args().skip(1))
+    }
+
+    /// The execution knobs the flags select: `--threads`,
+    /// `--census-threads` and `--trial-batch` as one [`TrialExec`].
+    pub fn exec(&self) -> TrialExec {
+        TrialExec::sequential()
+            .with_threads(self.threads)
+            .with_census_threads(self.census_threads)
+            .with_trial_batch(self.trial_batch)
     }
 
     /// Renders `report` to stdout in the requested format.

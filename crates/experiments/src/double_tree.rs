@@ -18,6 +18,7 @@ use faultnet_analysis::regression::{fit_exponential, fit_line};
 use faultnet_analysis::stats::Summary;
 use faultnet_analysis::sweep::Sweep;
 use faultnet_analysis::table::{fmt_float, Table};
+use faultnet_faultmodel::BernoulliEdges;
 use faultnet_percolation::branching::{
     double_tree_connection_probability, double_tree_critical_probability,
 };
@@ -27,6 +28,7 @@ use faultnet_routing::lower_bound::double_tree_certified_probes;
 use faultnet_routing::tree::{LeafPenetrationRouter, PairedDfsOracleRouter};
 use faultnet_topology::double_tree::DoubleBinaryTree;
 
+use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
 
 /// Connection-probability measurement at one `(depth, p)`.
@@ -86,23 +88,21 @@ pub struct TreeComplexityPoint {
     pub certified_probes: u64,
 }
 
-/// Measures the local and oracle routers on `TT_depth` at probability `p`,
-/// fanning the conditioned trials across `threads` workers (1 = sequential;
-/// the result is identical either way).
+/// Measures the local and oracle routers on `TT_depth` at probability `p`
+/// under `exec` (the result is identical for every value).
 pub fn measure_tree_complexity(
     depth: u32,
     p: f64,
     trials: u32,
     base_seed: u64,
-    threads: usize,
-    census_threads: usize,
+    exec: TrialExec,
 ) -> TreeComplexityPoint {
     let tt = DoubleBinaryTree::new(depth);
     let (x, y) = tt.roots();
-    let harness = ComplexityHarness::new(tt, PercolationConfig::new(p, base_seed))
-        .with_census_threads(census_threads);
-    let local = harness.measure_parallel(&LeafPenetrationRouter::new(), x, y, trials, threads);
-    let oracle = harness.measure_parallel(&PairedDfsOracleRouter::new(), x, y, trials, threads);
+    let harness = ComplexityHarness::new(tt, PercolationConfig::new(p, base_seed));
+    let model = BernoulliEdges::new();
+    let local = harness.measure(&model, &LeafPenetrationRouter::new(), x, y, trials, exec);
+    let oracle = harness.measure(&model, &PairedDfsOracleRouter::new(), x, y, trials, exec);
     TreeComplexityPoint {
         depth,
         p,
@@ -128,13 +128,9 @@ pub struct DoubleTreeExperiment {
     pub trials: u32,
     /// Base seed.
     pub base_seed: u64,
-    /// Worker threads (1 = sequential; the reported numbers are identical
-    /// for every value).
-    pub threads: usize,
-    /// Intra-census worker threads for the conditioning checks
-    /// (1 = sequential; the reported numbers are identical for every
-    /// value).
-    pub census_threads: usize,
+    /// Wall-clock execution knobs (the reported numbers are identical for
+    /// every value).
+    pub exec: TrialExec,
 }
 
 impl DoubleTreeExperiment {
@@ -149,8 +145,7 @@ impl DoubleTreeExperiment {
             complexity_p: 0.8,
             trials: effort.pick(20, 80),
             base_seed: 0xFA07,
-            threads: 1,
-            census_threads: 1,
+            exec: TrialExec::sequential(),
         }
     }
 
@@ -164,17 +159,10 @@ impl DoubleTreeExperiment {
         Self::with_effort(Effort::Full)
     }
 
-    /// Sets the worker-thread count (the `--threads` knob of the binaries).
+    /// Sets the execution knobs.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
+    pub fn with_exec(mut self, exec: TrialExec) -> Self {
+        self.exec = exec;
         self
     }
 
@@ -199,7 +187,8 @@ impl DoubleTreeExperiment {
                     .base_seed
                     .wrapping_add((di as u64) << 20)
                     .wrapping_add(pi as u64);
-                let point = measure_connection_point(depth, p, self.trials, seed, self.threads);
+                let point =
+                    measure_connection_point(depth, p, self.trials, seed, self.exec.threads);
                 table.push_row([
                     format!("{p:.2}"),
                     fmt_float(point.measured),
@@ -237,8 +226,7 @@ impl DoubleTreeExperiment {
                 self.complexity_p,
                 self.trials,
                 self.base_seed.wrapping_add(0xC0 + di as u64),
-                self.threads,
-                self.census_threads,
+                self.exec,
             );
             table.push_row([
                 depth.to_string(),
@@ -306,7 +294,7 @@ mod tests {
 
     #[test]
     fn local_probes_exceed_oracle_probes() {
-        let point = measure_tree_complexity(7, 0.8, 25, 9, 2, 1);
+        let point = measure_tree_complexity(7, 0.8, 25, 9, TrialExec::sequential().with_threads(2));
         assert!(point.local_mean_probes.is_finite());
         if point.oracle_mean_probes.is_finite() {
             assert!(point.local_mean_probes > point.oracle_mean_probes);

@@ -47,12 +47,9 @@ pub struct ModelMeshPoint {
 }
 
 /// Measures the E4 landmark-router point (2-d mesh, straight pair at
-/// `distance`) under `model`, fanning trials across `exec.threads` workers;
-/// with `exec.census_threads > 1` each trial's conditioning check runs on
-/// the parallel census, and `exec.trial_batch > 0` routes the measurement
-/// through the trial-batched harness — bit-identical numbers in every
-/// configuration (non-lane-batchable models fall back to the scalar loop
-/// after a one-shot stderr note).
+/// `distance`) under `model` and `exec` — bit-identical numbers for every
+/// `exec` (non-lane-batchable models fall back to the scalar store after a
+/// one-shot stderr note).
 pub fn measure_mesh_point_with_model<M: FaultModel + Sync + ?Sized>(
     model: &M,
     p: f64,
@@ -62,22 +59,8 @@ pub fn measure_mesh_point_with_model<M: FaultModel + Sync + ?Sized>(
     exec: TrialExec,
 ) -> ModelMeshPoint {
     let (mesh, u, v) = mesh_and_pair(2, distance);
-    let harness = ComplexityHarness::new(mesh, PercolationConfig::new(p, base_seed))
-        .with_census_threads(exec.census_threads);
-    let router = MeshLandmarkRouter::new();
-    let stats = if exec.batched() {
-        harness.measure_batched_with_model(
-            model,
-            &router,
-            u,
-            v,
-            trials,
-            exec.trial_batch,
-            exec.threads,
-        )
-    } else {
-        harness.measure_parallel_with_model(model, &router, u, v, trials, exec.threads)
-    };
+    let harness = ComplexityHarness::new(mesh, PercolationConfig::new(p, base_seed));
+    let stats = harness.measure(model, &MeshLandmarkRouter::new(), u, v, trials, exec);
     ModelMeshPoint {
         connectivity_rate: stats.connectivity_rate(),
         mean_probes: Summary::from_counts(stats.probe_counts().iter().copied()).mean(),
@@ -104,16 +87,9 @@ pub struct FaultModelsExperiment {
     pub cube_trials: u32,
     /// Base seed.
     pub base_seed: u64,
-    /// Worker threads (1 = sequential; the reported numbers are identical
-    /// for every value).
-    pub threads: usize,
-    /// Intra-census worker threads (1 = sequential census; the reported
-    /// numbers are identical for every value).
-    pub census_threads: usize,
-    /// Trial-batch lane request (0 = scalar engine; the reported numbers
-    /// are identical for every value — the adversarial column always runs
-    /// scalar, by [`FaultModel::lane_batchable`]).
-    pub trial_batch: usize,
+    /// Wall-clock execution knobs (the reported numbers are identical for
+    /// every value).
+    pub exec: TrialExec,
 }
 
 impl FaultModelsExperiment {
@@ -131,9 +107,7 @@ impl FaultModelsExperiment {
             ),
             cube_trials: effort.pick(6, 20),
             base_seed: 0xFA11,
-            threads: 1,
-            census_threads: 1,
-            trial_batch: 0,
+            exec: TrialExec::sequential(),
         }
     }
 
@@ -147,34 +121,11 @@ impl FaultModelsExperiment {
         Self::with_effort(Effort::Full)
     }
 
-    /// Sets the worker-thread count (the `--threads` knob of the binaries).
+    /// Sets the execution knobs.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    pub fn with_exec(mut self, exec: TrialExec) -> Self {
+        self.exec = exec;
         self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
-        self
-    }
-
-    /// Sets the trial-batch lane request (the `--trial-batch` knob;
-    /// 0 keeps the scalar engine).
-    #[must_use]
-    pub fn with_trial_batch(mut self, trial_batch: usize) -> Self {
-        self.trial_batch = trial_batch;
-        self
-    }
-
-    /// The execution knobs this configuration runs under.
-    fn exec(&self) -> TrialExec {
-        TrialExec::sequential()
-            .with_threads(self.threads)
-            .with_census_threads(self.census_threads)
-            .with_trial_batch(self.trial_batch)
     }
 
     /// Restricts the comparison to one model (the `--fault-model` knob);
@@ -226,7 +177,7 @@ impl FaultModelsExperiment {
                             .wrapping_add((pi as u64) << 24)
                             .wrapping_add((di as u64) << 8)
                             .wrapping_add(canonical_index(*spec)),
-                        self.exec(),
+                        self.exec,
                     );
                     row.push(fmt_float(point.mean_probes));
                 }
@@ -268,7 +219,7 @@ impl FaultModelsExperiment {
                         .wrapping_add(0xC0DE)
                         .wrapping_add((qi as u64) * 131)
                         .wrapping_add(canonical_index(*spec)),
-                    self.exec(),
+                    self.exec,
                 );
                 giant_row.push(fmt_float(point.giant_fraction));
                 conn_row.push(fmt_float(point.connectivity));
@@ -414,8 +365,11 @@ mod tests {
         let scalar = FaultModelsExperiment::quick().run().render();
         for trial_batch in [1, 64] {
             let batched = FaultModelsExperiment::quick()
-                .with_trial_batch(trial_batch)
-                .with_threads(2)
+                .with_exec(
+                    TrialExec::sequential()
+                        .with_trial_batch(trial_batch)
+                        .with_threads(2),
+                )
                 .run()
                 .render();
             assert_eq!(scalar, batched, "trial_batch {trial_batch}");

@@ -10,12 +10,14 @@ use faultnet_analysis::figure::{AsciiFigure, Scale, Series};
 use faultnet_analysis::regression::fit_power_law;
 use faultnet_analysis::stats::Summary;
 use faultnet_analysis::table::{fmt_float, Table};
+use faultnet_faultmodel::BernoulliEdges;
 use faultnet_percolation::PercolationConfig;
 use faultnet_routing::complexity::ComplexityHarness;
 use faultnet_routing::gnp::{BidirectionalGrowthRouter, IncrementalLocalRouter};
 use faultnet_topology::complete::CompleteGraph;
 use faultnet_topology::Topology;
 
+use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
 
 /// Probe counts at one graph size.
@@ -33,24 +35,23 @@ pub struct GnpPoint {
     pub oracle_mean_probes: f64,
 }
 
-/// Measures both `G(n, p)` routers at one size, fanning the conditioned
-/// trials across `threads` workers (1 = sequential; the result is identical
-/// either way).
-pub fn measure_gnp_point(
-    n: u64,
-    c: f64,
-    trials: u32,
-    base_seed: u64,
-    threads: usize,
-    census_threads: usize,
-) -> GnpPoint {
+/// Measures both `G(n, p)` routers at one size under `exec` (the result is
+/// identical for every value).
+pub fn measure_gnp_point(n: u64, c: f64, trials: u32, base_seed: u64, exec: TrialExec) -> GnpPoint {
     let graph = CompleteGraph::new(n);
     let p = (c / n as f64).min(1.0);
-    let harness = ComplexityHarness::new(graph, PercolationConfig::new(p, base_seed))
-        .with_census_threads(census_threads);
+    let harness = ComplexityHarness::new(graph, PercolationConfig::new(p, base_seed));
     let (u, v) = graph.canonical_pair();
-    let local = harness.measure_parallel(&IncrementalLocalRouter::new(), u, v, trials, threads);
-    let oracle = harness.measure_parallel(&BidirectionalGrowthRouter::new(), u, v, trials, threads);
+    let model = BernoulliEdges::new();
+    let local = harness.measure(&model, &IncrementalLocalRouter::new(), u, v, trials, exec);
+    let oracle = harness.measure(
+        &model,
+        &BidirectionalGrowthRouter::new(),
+        u,
+        v,
+        trials,
+        exec,
+    );
     GnpPoint {
         n,
         c,
@@ -71,13 +72,9 @@ pub struct GnpExperiment {
     pub trials: u32,
     /// Base seed.
     pub base_seed: u64,
-    /// Worker threads for the conditioned trials (1 = sequential; the
-    /// reported numbers are identical for every value).
-    pub threads: usize,
-    /// Intra-census worker threads for the conditioning checks
-    /// (1 = sequential; the reported numbers are identical for every
-    /// value).
-    pub census_threads: usize,
+    /// Wall-clock execution knobs (the reported numbers are identical for
+    /// every value).
+    pub exec: TrialExec,
 }
 
 impl GnpExperiment {
@@ -90,8 +87,7 @@ impl GnpExperiment {
             mean_degrees: effort.pick(vec![2.0], vec![1.5, 2.0, 3.0]),
             trials: effort.pick(10, 40),
             base_seed: 0xFA08,
-            threads: 1,
-            census_threads: 1,
+            exec: TrialExec::sequential(),
         }
     }
 
@@ -105,17 +101,10 @@ impl GnpExperiment {
         Self::with_effort(Effort::Full)
     }
 
-    /// Sets the worker-thread count (the `--threads` knob of the binaries).
+    /// Sets the execution knobs.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
+    pub fn with_exec(mut self, exec: TrialExec) -> Self {
+        self.exec = exec;
         self
     }
 
@@ -149,8 +138,7 @@ impl GnpExperiment {
                     self.base_seed
                         .wrapping_add((ci as u64) << 20)
                         .wrapping_add(ni as u64),
-                    self.threads,
-                    self.census_threads,
+                    self.exec,
                 );
                 table.push_row([
                     n.to_string(),
@@ -199,15 +187,23 @@ mod tests {
 
     #[test]
     fn oracle_is_cheaper_than_local() {
-        let point = measure_gnp_point(150, 2.5, 10, 3, 2, 2);
+        let point = measure_gnp_point(
+            150,
+            2.5,
+            10,
+            3,
+            TrialExec::sequential()
+                .with_threads(2)
+                .with_census_threads(2),
+        );
         assert!(point.connectivity_rate > 0.3);
         assert!(point.local_mean_probes > point.oracle_mean_probes);
     }
 
     #[test]
     fn exponent_gap_is_visible_even_at_small_sizes() {
-        let small = measure_gnp_point(60, 2.0, 12, 5, 1, 1);
-        let large = measure_gnp_point(240, 2.0, 12, 5, 1, 1);
+        let small = measure_gnp_point(60, 2.0, 12, 5, TrialExec::sequential());
+        let large = measure_gnp_point(240, 2.0, 12, 5, TrialExec::sequential());
         let local_growth = large.local_mean_probes / small.local_mean_probes;
         let oracle_growth = large.oracle_mean_probes / small.oracle_mean_probes;
         // Quadrupling n should grow the local cost markedly faster than the

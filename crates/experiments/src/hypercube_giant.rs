@@ -4,11 +4,12 @@
 //! to frame where routing is even meaningful.
 
 use faultnet_analysis::phase::crossing_point;
-use faultnet_analysis::sweep::Sweep;
 use faultnet_analysis::table::{fmt_float, Table};
+use faultnet_faultmodel::trials::{run_trials, TrialVisitor};
+use faultnet_faultmodel::{FaultInstance, FaultModel};
 use faultnet_percolation::components::ComponentCensus;
 use faultnet_percolation::sample::BitsetSample;
-use faultnet_percolation::trial_batch::{clamp_lanes, TrialBatch};
+use faultnet_percolation::trial_batch::TrialBatch;
 use faultnet_percolation::PercolationConfig;
 use faultnet_topology::hypercube::Hypercube;
 use faultnet_topology::Topology;
@@ -28,23 +29,12 @@ pub struct HypercubePoint {
 }
 
 /// Measures giant fraction and connectivity of `H_{n,p}` over `trials`
-/// instances under the execution knobs in `exec`: instances fan across
-/// `exec.threads` workers, each instance's census across
-/// `exec.census_threads` workers, and `exec.trial_batch > 0` packs up to 64
-/// instances per chunk into one [`TrialBatch`] word array.
-///
-/// On the scalar path each worker materialises its instance as a
-/// [`BitsetSample`] (single bit read per edge in the census); on the batched
-/// path lane `l` of the chunk starting at trial `t0` uses seed
-/// `base_seed + t0 + l` — exactly the scalar trial's seed — and the census
-/// reads the lane through a [`faultnet_percolation::LaneView`]. Per-instance
-/// results are summed in trial order either way, so the means are identical
-/// for every `threads`, `census_threads`, *and* `trial_batch` value: the
-/// parallel census is bit-identical to the sequential one and the batched
-/// substrate is a pure relayout of the scalar samples. The knobs compose —
-/// per-trial fan-out soaks up many small instances, intra-census fan-out
-/// soaks up few huge ones (the n ≥ 16 grids this experiment exists for), and
-/// batching amortises the edge sampling across lanes.
+/// Bernoulli-edge instances under `exec` (see
+/// [`measure_giant_point_with_model`]). The knobs compose: per-trial
+/// fan-out soaks up many small instances, intra-census fan-out soaks up few
+/// huge ones (the n ≥ 16 grids this experiment exists for), and batching
+/// amortises the edge sampling across lanes; the means are identical for
+/// every value of each.
 pub fn measure_hypercube_point(
     dimension: u32,
     p: f64,
@@ -72,10 +62,10 @@ pub fn measure_hypercube_point(
 /// at survival `p` caps the giant fraction near `p` — exactly the effect
 /// `exp_fault_models` tabulates side by side.
 ///
-/// A `trial_batch` request silently falls back to the scalar loop for
-/// models that are not [`faultnet_faultmodel::FaultModel::lane_batchable`]
-/// (after a one-shot stderr note) — the results are identical either way.
-pub fn measure_hypercube_point_with_model<M: faultnet_faultmodel::FaultModel + Sync + ?Sized>(
+/// A `trial_batch` request falls back to the scalar store for models that
+/// are not [`FaultModel::lane_batchable`] (after a one-shot stderr note) —
+/// the results are identical either way.
+pub fn measure_hypercube_point_with_model<M: FaultModel + Sync + ?Sized>(
     model: &M,
     dimension: u32,
     p: f64,
@@ -89,13 +79,21 @@ pub fn measure_hypercube_point_with_model<M: faultnet_faultmodel::FaultModel + S
 }
 
 /// The family-generic giant/connectivity engine behind
-/// [`measure_hypercube_point_with_model`]: measures any [`Topology`] under
-/// any fault model with the same seed discipline, batched/scalar
-/// equivalence, and trial-order summation. `exp_real_world` (E13) drives it
-/// over loaded and generated [`faultnet_topology::explicit::ExplicitGraph`]
-/// substrates, whose adjacency-slot `edge_index` makes them batchable like
-/// the closed-form families. The returned [`HypercubePoint`] is the
-/// substrate-agnostic point record despite its historical name.
+/// [`measure_hypercube_point_with_model`]: a fold over the workspace's one
+/// trial loop ([`run_trials`]) with a per-trial census, so it inherits the
+/// seed discipline (trial `t` at `base_seed + t`), the batched/scalar
+/// store choice and its equivalence, and trial-order summation — the means
+/// are identical for every `exec`. `exp_real_world` (E13) drives it over
+/// loaded and generated [`faultnet_topology::explicit::ExplicitGraph`]
+/// substrates, and `threshold` builds the E8b sweeps and bisections on it.
+/// The returned [`HypercubePoint`] is the substrate-agnostic point record
+/// despite its historical name.
+///
+/// A giant scan has no routed pair; the [`FaultModel`] contract defines an
+/// absent pair as the canonical pair, so the trial loop hoists the
+/// placement for the canonical pair and measures exactly the `None`
+/// configuration (both halves of that equality are property-tested in the
+/// faultmodel crate).
 pub fn measure_giant_point_with_model<M, T>(
     model: &M,
     graph: &T,
@@ -105,81 +103,65 @@ pub fn measure_giant_point_with_model<M, T>(
     exec: TrialExec,
 ) -> HypercubePoint
 where
-    M: faultnet_faultmodel::FaultModel + Sync + ?Sized,
+    M: FaultModel + Sync + ?Sized,
     T: Topology + Sync,
 {
-    let cube = graph;
-    // No routed pair in a giant scan; the FaultModel contract defines an
-    // absent pair as the canonical pair, so hoisting the placement for the
-    // canonical pair (once, instead of inside every trial — the adversary's
-    // greedy BFS loop is pure in `(graph, pair, budget)`) measures exactly
-    // the `None` configuration. Both halves of that equality are
-    // property-tested in the faultmodel crate.
-    let pair = cube.canonical_pair();
-    let placement = model.pair_placement(cube, pair);
-    let mut batched = exec.batched();
-    if batched && !model.lane_batchable() {
-        faultnet_faultmodel::warn_scalar_fallback(&model.name());
-        batched = false;
-    }
-    let (giant_total, connected_count) = if batched && TrialBatch::supported(cube) {
-        // Multispin path: each chunk samples up to 64 instances into one
-        // transposed word array, then walks the lanes in trial order. Lane
-        // `l` of the chunk at `t0` uses seed `base_seed + t0 + l` — the
-        // scalar trial's seed — so the census over each LaneView is
-        // bit-identical to the census over the scalar BitsetSample.
-        let lanes_per_chunk = clamp_lanes(exec.trial_batch);
-        let starts: Vec<u32> = (0..trials).step_by(lanes_per_chunk).collect();
-        let per_chunk = Sweep::over(starts).run_parallel(exec.threads.max(1), |&t0| {
-            let lanes = lanes_per_chunk.min((trials - t0) as usize);
-            let instances: Vec<_> = (0..lanes)
-                .map(|l| {
-                    let seed = base_seed.wrapping_add(t0 as u64).wrapping_add(l as u64);
-                    let cfg = PercolationConfig::new(p, seed);
-                    model.instance_from_placement(&placement, cube, cfg, pair)
-                })
-                .collect();
-            let batch = TrialBatch::from_lane_states(cube, &instances);
-            (0..lanes)
-                .map(|l| {
-                    let census = ComponentCensus::compute_parallel(
-                        cube,
-                        &batch.lane_view(l),
-                        exec.census_threads,
-                    );
-                    (census.giant_fraction(), census.num_components() == 1)
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut giant_total = 0.0;
-        let mut connected_count = 0u32;
-        for chunk in per_chunk {
-            for (giant, connected) in chunk.value {
-                giant_total += giant;
-                connected_count += u32::from(connected);
-            }
-        }
-        (giant_total, connected_count)
-    } else {
-        let per_trial = Sweep::over(0..trials).run_parallel(exec.threads.max(1), |&t| {
-            let cfg = PercolationConfig::new(p, base_seed.wrapping_add(t as u64));
-            let instance = model.instance_from_placement(&placement, cube, cfg, pair);
-            let sample = BitsetSample::from_states(cube, &instance);
-            let census = ComponentCensus::compute_parallel(cube, &sample, exec.census_threads);
-            (census.giant_fraction(), census.num_components() == 1)
-        });
-        let mut giant_total = 0.0;
-        let mut connected_count = 0u32;
-        for point in per_trial {
-            giant_total += point.value.0;
-            connected_count += u32::from(point.value.1);
-        }
-        (giant_total, connected_count)
+    let visitor = Census {
+        graph,
+        census_threads: exec.census_threads,
     };
+    let config = PercolationConfig::new(p, base_seed);
+    let pair = graph.canonical_pair();
+    let mut giant_total = 0.0;
+    let mut connected_count = 0u32;
+    for (giant, connected) in run_trials(model, graph, config, pair, trials, exec, &visitor) {
+        giant_total += giant;
+        connected_count += u32::from(connected);
+    }
     HypercubePoint {
         p,
         giant_fraction: giant_total / trials as f64,
         connectivity: connected_count as f64 / trials as f64,
+    }
+}
+
+/// One trial of a giant scan: the giant fraction and whether the whole
+/// graph is one component. A single instance is materialised as a
+/// [`BitsetSample`] (one bit read per edge in the census); a batch lane is
+/// read in place through its [`faultnet_percolation::LaneView`].
+struct Census<'g, T> {
+    graph: &'g T,
+    census_threads: usize,
+}
+
+impl<T: Topology + Sync> Census<'_, T> {
+    fn fold(&self, census: ComponentCensus) -> (f64, bool) {
+        (census.giant_fraction(), census.num_components() == 1)
+    }
+}
+
+impl<T: Topology + Sync> TrialVisitor<T> for Census<'_, T> {
+    type Output = (f64, bool);
+
+    fn instance(&self, instance: &FaultInstance) -> (f64, bool) {
+        let sample = BitsetSample::from_states(self.graph, instance);
+        self.fold(ComponentCensus::compute_parallel(
+            self.graph,
+            &sample,
+            self.census_threads,
+        ))
+    }
+
+    fn batch(&self, batch: &TrialBatch<'_, T>) -> Vec<(f64, bool)> {
+        (0..batch.lanes())
+            .map(|l| {
+                self.fold(ComponentCensus::compute_parallel(
+                    self.graph,
+                    &batch.lane_view(l),
+                    self.census_threads,
+                ))
+            })
+            .collect()
     }
 }
 
@@ -196,15 +178,9 @@ pub struct HypercubeGiantExperiment {
     pub trials: u32,
     /// Base seed.
     pub base_seed: u64,
-    /// Worker threads (1 = sequential; the reported numbers are identical
-    /// for every value).
-    pub threads: usize,
-    /// Intra-census worker threads (1 = sequential census; the reported
-    /// numbers are identical for every value).
-    pub census_threads: usize,
-    /// Trial-batch lane request (0 = scalar engine; the reported numbers
-    /// are identical for every value).
-    pub trial_batch: usize,
+    /// Wall-clock execution knobs (the reported numbers are identical for
+    /// every value).
+    pub exec: TrialExec,
 }
 
 impl HypercubeGiantExperiment {
@@ -218,9 +194,7 @@ impl HypercubeGiantExperiment {
             connectivity_ps: vec![0.30, 0.40, 0.45, 0.50, 0.55, 0.60, 0.70],
             trials: effort.pick(6, 30),
             base_seed: 0xFA03,
-            threads: 1,
-            census_threads: 1,
-            trial_batch: 0,
+            exec: TrialExec::sequential(),
         }
     }
 
@@ -234,34 +208,11 @@ impl HypercubeGiantExperiment {
         Self::with_effort(Effort::Full)
     }
 
-    /// Sets the worker-thread count (the `--threads` knob of the binaries).
+    /// Sets the execution knobs.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    pub fn with_exec(mut self, exec: TrialExec) -> Self {
+        self.exec = exec;
         self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
-        self
-    }
-
-    /// Sets the trial-batch lane request (the `--trial-batch` knob;
-    /// 0 keeps the scalar engine).
-    #[must_use]
-    pub fn with_trial_batch(mut self, trial_batch: usize) -> Self {
-        self.trial_batch = trial_batch;
-        self
-    }
-
-    /// The execution knobs this configuration runs under.
-    fn exec(&self) -> TrialExec {
-        TrialExec::sequential()
-            .with_threads(self.threads)
-            .with_census_threads(self.census_threads)
-            .with_trial_batch(self.trial_batch)
     }
 
     /// Runs the experiment and assembles the report.
@@ -284,7 +235,7 @@ impl HypercubeGiantExperiment {
                     p,
                     self.trials,
                     self.base_seed + i as u64 * 31,
-                    self.exec(),
+                    self.exec,
                 );
                 giant_table.push_row([
                     format!("{c:.2}"),
@@ -311,7 +262,7 @@ impl HypercubeGiantExperiment {
                     p,
                     self.trials,
                     self.base_seed + 991 + i as u64,
-                    self.exec(),
+                    self.exec,
                 );
                 conn_table.push_row([
                     format!("{p:.2}"),
@@ -394,7 +345,7 @@ mod tests {
     fn quick_report_is_byte_identical_with_batching() {
         let scalar = HypercubeGiantExperiment::quick().run().render();
         let batched = HypercubeGiantExperiment::quick()
-            .with_trial_batch(64)
+            .with_exec(TrialExec::sequential().with_trial_batch(64))
             .run()
             .render();
         assert_eq!(scalar, batched);

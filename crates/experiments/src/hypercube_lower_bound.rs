@@ -18,6 +18,7 @@ use std::collections::HashSet;
 
 use faultnet_analysis::stats::Summary;
 use faultnet_analysis::table::{fmt_float, Table};
+use faultnet_faultmodel::BernoulliEdges;
 use faultnet_percolation::PercolationConfig;
 use faultnet_routing::bfs::FloodRouter;
 use faultnet_routing::complexity::ComplexityHarness;
@@ -27,6 +28,7 @@ use faultnet_routing::lower_bound::{
 use faultnet_topology::hypercube::Hypercube;
 use faultnet_topology::Topology;
 
+use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
 
 /// A Monte-Carlo comparison point: the empirical cut bound and the measured
@@ -48,26 +50,30 @@ pub struct BoundComparison {
 }
 
 /// Estimates the Lemma 5 bound with a radius-`radius` ball around the target
-/// and measures the flooding router on the same configuration, fanning the
-/// conditioned trials across `threads` workers (1 = sequential; the result
-/// is identical either way).
+/// and measures the flooding router on the same configuration under `exec`
+/// (the result is identical for every value).
 pub fn compare_bound_to_measurement(
     dimension: u32,
     alpha: f64,
     radius: u32,
     trials: u32,
     base_seed: u64,
-    threads: usize,
-    census_threads: usize,
+    exec: TrialExec,
 ) -> BoundComparison {
     let cube = Hypercube::new(dimension);
     let p = (dimension as f64).powf(-alpha).min(1.0);
     let (u, v) = cube.canonical_pair();
     let ball: HashSet<_> = hypercube_ball_cut(&cube, v, radius);
     let bound = estimate_cut_bound(&cube, p, &ball, u, v, trials, base_seed);
-    let harness = ComplexityHarness::new(cube, PercolationConfig::new(p, base_seed ^ 0x5EED))
-        .with_census_threads(census_threads);
-    let stats = harness.measure_parallel(&FloodRouter::new(), u, v, trials, threads);
+    let harness = ComplexityHarness::new(cube, PercolationConfig::new(p, base_seed ^ 0x5EED));
+    let stats = harness.measure(
+        &BernoulliEdges::new(),
+        &FloodRouter::new(),
+        u,
+        v,
+        trials,
+        exec,
+    );
     let summary = Summary::from_counts(stats.probe_counts().iter().copied());
     BoundComparison {
         dimension,
@@ -102,13 +108,9 @@ pub struct HypercubeLowerBoundExperiment {
     pub trials: u32,
     /// Base seed.
     pub base_seed: u64,
-    /// Worker threads for the conditioned trials (1 = sequential; the
-    /// reported numbers are identical for every value).
-    pub threads: usize,
-    /// Intra-census worker threads for the conditioning checks
-    /// (1 = sequential; the reported numbers are identical for every
-    /// value).
-    pub census_threads: usize,
+    /// Wall-clock execution knobs (the reported numbers are identical for
+    /// every value).
+    pub exec: TrialExec,
 }
 
 impl HypercubeLowerBoundExperiment {
@@ -123,8 +125,7 @@ impl HypercubeLowerBoundExperiment {
             monte_carlo_radius: 2,
             trials: effort.pick(30, 120),
             base_seed: 0xFA02,
-            threads: 1,
-            census_threads: 1,
+            exec: TrialExec::sequential(),
         }
     }
 
@@ -138,17 +139,10 @@ impl HypercubeLowerBoundExperiment {
         Self::with_effort(Effort::Full)
     }
 
-    /// Sets the worker-thread count (the `--threads` knob of the binaries).
+    /// Sets the execution knobs.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
+    pub fn with_exec(mut self, exec: TrialExec) -> Self {
+        self.exec = exec;
         self
     }
 
@@ -212,8 +206,7 @@ impl HypercubeLowerBoundExperiment {
                 self.monte_carlo_radius,
                 self.trials,
                 self.base_seed.wrapping_add(i as u64),
-                self.threads,
-                self.census_threads,
+                self.exec,
             );
             mc.push_row([
                 n.to_string(),
@@ -256,7 +249,16 @@ mod tests {
 
     #[test]
     fn monte_carlo_bound_is_sound_against_measurement() {
-        let cmp = compare_bound_to_measurement(8, 0.7, 2, 40, 3, 2, 2);
+        let cmp = compare_bound_to_measurement(
+            8,
+            0.7,
+            2,
+            40,
+            3,
+            TrialExec::sequential()
+                .with_threads(2)
+                .with_census_threads(2),
+        );
         // The bound certifies a probe count every local router must reach
         // with probability ≥ 1/2; the flooding router's *minimum* observed
         // probe count must therefore not be (much) below it. We check

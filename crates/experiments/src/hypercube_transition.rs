@@ -18,12 +18,14 @@ use faultnet_analysis::figure::{AsciiFigure, Scale, Series};
 use faultnet_analysis::phase::steepest_rise;
 use faultnet_analysis::stats::Summary;
 use faultnet_analysis::table::{fmt_float, Table};
+use faultnet_faultmodel::BernoulliEdges;
 use faultnet_percolation::PercolationConfig;
 use faultnet_routing::complexity::ComplexityHarness;
 use faultnet_routing::hypercube::SegmentRouter;
 use faultnet_topology::hypercube::Hypercube;
 use faultnet_topology::Topology;
 
+use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
 
 /// One measured point of the `α` sweep.
@@ -50,27 +52,23 @@ pub struct AlphaPoint {
     pub mean_cost: f64,
 }
 
-/// Measures one `(n, α)` point with the segment router, fanning the
-/// conditioned trials across `threads` workers (1 = sequential; the result
-/// is identical either way); `census_threads > 1` switches each trial's
-/// conditioning check to the parallel census (bit-identical numbers).
+/// Measures one `(n, α)` point with the segment router under `exec` (the
+/// result is identical for every value).
 pub fn measure_alpha_point(
     dimension: u32,
     alpha: f64,
     trials: u32,
     probe_budget: u64,
     base_seed: u64,
-    threads: usize,
-    census_threads: usize,
+    exec: TrialExec,
 ) -> AlphaPoint {
     let cube = Hypercube::new(dimension);
     let p = (dimension as f64).powf(-alpha).min(1.0);
     let harness = ComplexityHarness::new(cube, PercolationConfig::new(p, base_seed))
-        .with_probe_budget(probe_budget)
-        .with_census_threads(census_threads);
+        .with_probe_budget(probe_budget);
     let (u, v) = cube.canonical_pair();
     let router = SegmentRouter::for_alpha(alpha, 16);
-    let stats = harness.measure_parallel(&router, u, v, trials, threads);
+    let stats = harness.measure(&BernoulliEdges::new(), &router, u, v, trials, exec);
     let summary = Summary::from_counts(stats.probe_counts().iter().copied());
     let conditioned = stats.conditioned_trials().max(1) as f64;
     let mean_cost = (stats.probe_counts().iter().sum::<u64>() as f64
@@ -106,13 +104,9 @@ pub struct HypercubeTransitionExperiment {
     pub probe_budget: u64,
     /// Base seed.
     pub base_seed: u64,
-    /// Worker threads for the conditioned trials (1 = sequential; the
-    /// reported numbers are identical for every value).
-    pub threads: usize,
-    /// Intra-census worker threads for the conditioning checks
-    /// (1 = sequential; the reported numbers are identical for every
-    /// value).
-    pub census_threads: usize,
+    /// Wall-clock execution knobs (the reported numbers are identical for
+    /// every value).
+    pub exec: TrialExec,
 }
 
 impl HypercubeTransitionExperiment {
@@ -130,8 +124,7 @@ impl HypercubeTransitionExperiment {
             trials: effort.pick(8, 40),
             probe_budget: effort.pick(30_000, 400_000),
             base_seed: 0xFA01,
-            threads: 1,
-            census_threads: 1,
+            exec: TrialExec::sequential(),
         }
     }
 
@@ -145,17 +138,10 @@ impl HypercubeTransitionExperiment {
         Self::with_effort(Effort::Full)
     }
 
-    /// Sets the worker-thread count (the `--threads` knob of the binaries).
+    /// Sets the execution knobs.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
+    pub fn with_exec(mut self, exec: TrialExec) -> Self {
+        self.exec = exec;
         self
     }
 
@@ -193,8 +179,7 @@ impl HypercubeTransitionExperiment {
                     self.trials,
                     self.probe_budget,
                     self.base_seed.wrapping_add(i as u64 * 1000 + n as u64),
-                    self.threads,
-                    self.census_threads,
+                    self.exec,
                 );
                 table.push_row([
                     format!("{alpha:.2}"),
@@ -235,7 +220,7 @@ mod tests {
 
     #[test]
     fn easy_regime_is_cheap_and_complete() {
-        let point = measure_alpha_point(10, 0.2, 8, 50_000, 7, 1, 1);
+        let point = measure_alpha_point(10, 0.2, 8, 50_000, 7, TrialExec::sequential());
         assert!(point.connectivity_rate > 0.9);
         assert_eq!(point.success_rate, 1.0);
         assert_eq!(point.budget_exhaustion_rate, 0.0);
@@ -247,8 +232,26 @@ mod tests {
     fn hard_regime_costs_much_more_than_easy_regime() {
         // α = 0.75 (> 1/2) vs α = 0.25 (< 1/2) on the 11-cube: the conditioned
         // mean cost must be markedly larger in the hard regime.
-        let easy = measure_alpha_point(11, 0.25, 8, 100_000, 11, 2, 2);
-        let hard = measure_alpha_point(11, 0.75, 8, 100_000, 11, 2, 2);
+        let easy = measure_alpha_point(
+            11,
+            0.25,
+            8,
+            100_000,
+            11,
+            TrialExec::sequential()
+                .with_threads(2)
+                .with_census_threads(2),
+        );
+        let hard = measure_alpha_point(
+            11,
+            0.75,
+            8,
+            100_000,
+            11,
+            TrialExec::sequential()
+                .with_threads(2)
+                .with_census_threads(2),
+        );
         assert!(easy.mean_cost.is_finite());
         if hard.mean_cost.is_finite() {
             assert!(

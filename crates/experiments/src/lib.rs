@@ -15,7 +15,7 @@
 //! | E5 | Lemma 8 — chemical distance is linear above `p_c` | [`chemical_distance`] |
 //! | E6 | Lemma 6 + Theorems 7, 9 — double tree local vs. oracle | [`double_tree`] |
 //! | E7 | Theorems 10, 11 — `G(n,p)` local `n²` vs. oracle `n^{3/2}` | [`gnp`] |
-//! | E8 | background thresholds (hypercube giant/connectivity, mesh `p_c`) | [`hypercube_giant`], [`mesh_threshold`] |
+//! | E8 | background thresholds (hypercube giant/connectivity, mesh `p_c`) | [`hypercube_giant`], [`mesh_threshold`], [`threshold`] |
 //! | E9 | §6 open questions — constant-degree families | [`open_questions`] |
 //! | E10 | design-choice ablations | [`ablation`] |
 //! | E11 | fault-model scenarios — E4/E8a grids under node, correlated, and adversarial faults | [`fault_models`] |
@@ -24,14 +24,16 @@
 //!
 //! Each module exposes an experiment struct with `quick()` (seconds; used by
 //! tests and Criterion benches) and `full()` (minutes; used by the `exp-*`
-//! binaries) constructors, a `with_threads` builder wired to the binaries'
-//! `--threads` flag (trials fan across scoped worker threads; the reported
-//! numbers are bit-identical for every thread count), and a `run()` method
-//! producing an [`report::ExperimentReport`]. The trial-fan-out experiments
-//! (E8a, E8b, E11, E13) additionally accept the `--trial-batch` knob via a
-//! `with_trial_batch` builder: their benign columns run on the multispin
-//! [`faultnet_percolation::TrialBatch`] engine, again with bit-identical
-//! output (see [`exec::TrialExec`]). Shared flag parsing lives in [`cli`].
+//! binaries) constructors, a `with_exec` builder taking the binaries'
+//! execution knobs as one [`exec::TrialExec`] (`--threads`,
+//! `--census-threads`, and — for the trial-fan-out experiments E8a, E8b,
+//! E11 and E13 — `--trial-batch`; the reported numbers are bit-identical
+//! for every value), and a `run()` method producing an
+//! [`report::ExperimentReport`]. Every Monte-Carlo measurement runs on the
+//! workspace's one trial loop, [`faultnet_faultmodel::trials::run_trials`]:
+//! routing through [`faultnet_routing::ComplexityHarness::measure`], giant
+//! fractions through [`hypercube_giant::measure_giant_point_with_model`].
+//! Shared flag parsing lives in [`cli`].
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -52,6 +54,7 @@ pub mod open_questions;
 pub mod real_world;
 pub mod report;
 pub mod suite;
+pub mod threshold;
 
 pub use exec::TrialExec;
 pub use report::{Effort, ExperimentReport};

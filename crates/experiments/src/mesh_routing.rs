@@ -12,12 +12,14 @@ use faultnet_analysis::figure::{AsciiFigure, Scale, Series};
 use faultnet_analysis::regression::fit_power_law;
 use faultnet_analysis::stats::Summary;
 use faultnet_analysis::table::{fmt_float, Table};
+use faultnet_faultmodel::BernoulliEdges;
 use faultnet_percolation::PercolationConfig;
 use faultnet_routing::bfs::FloodRouter;
 use faultnet_routing::complexity::ComplexityHarness;
 use faultnet_routing::mesh::MeshLandmarkRouter;
 use faultnet_topology::mesh::Mesh;
 
+use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
 
 /// One measured point: probes at a given distance on a given mesh.
@@ -62,14 +64,8 @@ pub(crate) fn mesh_and_pair(
     (mesh, u, v)
 }
 
-/// Measures one `(d, p, distance)` point, fanning the conditioned trials
-/// across `threads` workers (1 = sequential; the result is identical either
-/// way).
-// One over clippy's limit: the grid point is five genuine parameters and
-// the two orthogonal parallelism knobs; bundling the knobs into a struct
-// for this one function would make it the odd sibling of every other
-// measure_* signature in the crate.
-#[allow(clippy::too_many_arguments)]
+/// Measures one `(d, p, distance)` point under `exec` (the result is
+/// identical for every value).
 pub fn measure_mesh_point(
     dimension: u32,
     p: f64,
@@ -77,16 +73,15 @@ pub fn measure_mesh_point(
     trials: u32,
     include_flood_baseline: bool,
     base_seed: u64,
-    threads: usize,
-    census_threads: usize,
+    exec: TrialExec,
 ) -> MeshPoint {
     let (mesh, u, v) = mesh_and_pair(dimension, distance);
-    let harness = ComplexityHarness::new(mesh, PercolationConfig::new(p, base_seed))
-        .with_census_threads(census_threads);
-    let landmark = harness.measure_parallel(&MeshLandmarkRouter::new(), u, v, trials, threads);
+    let harness = ComplexityHarness::new(mesh, PercolationConfig::new(p, base_seed));
+    let model = BernoulliEdges::new();
+    let landmark = harness.measure(&model, &MeshLandmarkRouter::new(), u, v, trials, exec);
     let landmark_summary = Summary::from_counts(landmark.probe_counts().iter().copied());
     let flood_mean = if include_flood_baseline {
-        let flood = harness.measure_parallel(&FloodRouter::new(), u, v, trials, threads);
+        let flood = harness.measure(&model, &FloodRouter::new(), u, v, trials, exec);
         Summary::from_counts(flood.probe_counts().iter().copied()).mean()
     } else {
         f64::NAN
@@ -116,13 +111,9 @@ pub struct MeshRoutingExperiment {
     pub include_flood_baseline: bool,
     /// Base seed.
     pub base_seed: u64,
-    /// Worker threads for the conditioned trials (1 = sequential; the
-    /// reported numbers are identical for every value).
-    pub threads: usize,
-    /// Intra-census worker threads for the conditioning checks
-    /// (1 = sequential; the reported numbers are identical for every
-    /// value).
-    pub census_threads: usize,
+    /// Wall-clock execution knobs (the reported numbers are identical for
+    /// every value).
+    pub exec: TrialExec,
 }
 
 impl MeshRoutingExperiment {
@@ -137,8 +128,7 @@ impl MeshRoutingExperiment {
             trials: effort.pick(10, 40),
             include_flood_baseline: true,
             base_seed: 0xFA04,
-            threads: 1,
-            census_threads: 1,
+            exec: TrialExec::sequential(),
         }
     }
 
@@ -152,17 +142,10 @@ impl MeshRoutingExperiment {
         Self::with_effort(Effort::Full)
     }
 
-    /// Sets the worker-thread count (the `--threads` knob of the binaries).
+    /// Sets the execution knobs.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
+    pub fn with_exec(mut self, exec: TrialExec) -> Self {
+        self.exec = exec;
         self
     }
 
@@ -203,8 +186,7 @@ impl MeshRoutingExperiment {
                             .wrapping_add((pi as u64) << 24)
                             .wrapping_add((di as u64) << 8)
                             .wrapping_add(d as u64),
-                        self.threads,
-                        self.census_threads,
+                        self.exec,
                     );
                     table.push_row([
                         distance.to_string(),
@@ -238,8 +220,24 @@ mod tests {
 
     #[test]
     fn probes_scale_roughly_linearly_with_distance() {
-        let near = measure_mesh_point(2, 0.8, 8, 10, false, 1, 2, 1);
-        let far = measure_mesh_point(2, 0.8, 32, 10, false, 1, 2, 1);
+        let near = measure_mesh_point(
+            2,
+            0.8,
+            8,
+            10,
+            false,
+            1,
+            TrialExec::sequential().with_threads(2),
+        );
+        let far = measure_mesh_point(
+            2,
+            0.8,
+            32,
+            10,
+            false,
+            1,
+            TrialExec::sequential().with_threads(2),
+        );
         assert!(near.connectivity_rate > 0.5);
         assert!(far.connectivity_rate > 0.5);
         // 4x the distance should cost well under 16x the probes (quadratic
@@ -254,7 +252,15 @@ mod tests {
 
     #[test]
     fn landmark_router_beats_flooding() {
-        let point = measure_mesh_point(2, 0.7, 16, 8, true, 5, 1, 2);
+        let point = measure_mesh_point(
+            2,
+            0.7,
+            16,
+            8,
+            true,
+            5,
+            TrialExec::sequential().with_census_threads(2),
+        );
         assert!(point.flood_mean_probes.is_finite());
         assert!(point.landmark_mean_probes < point.flood_mean_probes);
     }

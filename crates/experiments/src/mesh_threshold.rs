@@ -7,13 +7,11 @@
 
 use faultnet_analysis::sweep::Sweep;
 use faultnet_analysis::table::{fmt_float, Table};
-use faultnet_percolation::threshold::{
-    estimate_threshold_batched, estimate_threshold_with_census_threads,
-    giant_fraction_sweep_batched, giant_fraction_sweep_with_census_threads,
-};
 use faultnet_topology::torus::Torus;
 
+use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
+use crate::threshold::{estimate_threshold, giant_fraction_sweep};
 
 /// The E8b experiment.
 #[derive(Debug, Clone)]
@@ -30,19 +28,9 @@ pub struct MeshThresholdExperiment {
     pub sweep_ps: Vec<f64>,
     /// Base seed.
     pub base_seed: u64,
-    /// Worker threads: the per-(dimension, side) bisections run in parallel
-    /// (each bisection is inherently sequential in `p`). 1 = sequential; the
-    /// reported numbers are identical for every value.
-    pub threads: usize,
-    /// Intra-census worker threads: each giant-fraction evaluation inside a
-    /// bisection runs its census on this many workers — the only
-    /// parallelism available *within* one bisection. 1 = sequential; the
-    /// reported numbers are identical for every value.
-    pub census_threads: usize,
-    /// Trial-batch lane request: each probability evaluation inside a
-    /// bisection samples its trials on the multispin engine. 0 = scalar;
-    /// the reported numbers are identical for every value.
-    pub trial_batch: usize,
+    /// Wall-clock execution knobs (the reported numbers are identical for
+    /// every value).
+    pub exec: TrialExec,
 }
 
 impl MeshThresholdExperiment {
@@ -60,9 +48,7 @@ impl MeshThresholdExperiment {
             tolerance: effort.pick(0.02, 0.005),
             sweep_ps: vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
             base_seed: 0xFA05,
-            threads: 1,
-            census_threads: 1,
-            trial_batch: 0,
+            exec: TrialExec::sequential(),
         }
     }
 
@@ -76,25 +62,10 @@ impl MeshThresholdExperiment {
         Self::with_effort(Effort::Full)
     }
 
-    /// Sets the worker-thread count (the `--threads` knob of the binaries).
+    /// Sets the execution knobs.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
-        self
-    }
-
-    /// Sets the trial-batch lane request (the `--trial-batch` knob;
-    /// 0 keeps the scalar engine).
-    #[must_use]
-    pub fn with_trial_batch(mut self, trial_batch: usize) -> Self {
-        self.trial_batch = trial_batch;
+    pub fn with_exec(mut self, exec: TrialExec) -> Self {
+        self.exec = exec;
         self
     }
 
@@ -119,34 +90,26 @@ impl MeshThresholdExperiment {
                 bisection_points.push((case_index, *d, side_index, side));
             }
         }
+        // Each bisection is inherently sequential in p and runs on its own
+        // worker, so its trials stay on that worker; census threads and
+        // trial batching still apply inside every evaluation.
+        let inner = self.exec.with_threads(1);
         let estimated = Sweep::over(bisection_points).run_parallel(
-            self.threads.max(1),
+            self.exec.threads,
             |&(case_index, d, side_index, side)| {
                 let torus = Torus::new(d, side);
                 let seed = self
                     .base_seed
                     .wrapping_add((case_index as u64) << 20)
                     .wrapping_add(side_index as u64);
-                if self.trial_batch > 0 {
-                    estimate_threshold_batched(
-                        &torus,
-                        self.target_fraction,
-                        self.trials,
-                        self.tolerance,
-                        seed,
-                        self.census_threads,
-                        self.trial_batch,
-                    )
-                } else {
-                    estimate_threshold_with_census_threads(
-                        &torus,
-                        self.target_fraction,
-                        self.trials,
-                        self.tolerance,
-                        seed,
-                        self.census_threads,
-                    )
-                }
+                estimate_threshold(
+                    &torus,
+                    self.target_fraction,
+                    self.trials,
+                    self.tolerance,
+                    seed,
+                    inner,
+                )
             },
         );
         for point in &estimated {
@@ -171,24 +134,8 @@ impl MeshThresholdExperiment {
             let &largest = sides.last().expect("at least one side per case");
             let torus = Torus::new(*d, largest);
             let sweep_seed = self.base_seed.wrapping_add(777 + case_index as u64);
-            let sweep = if self.trial_batch > 0 {
-                giant_fraction_sweep_batched(
-                    &torus,
-                    &self.sweep_ps,
-                    self.trials,
-                    sweep_seed,
-                    self.census_threads,
-                    self.trial_batch,
-                )
-            } else {
-                giant_fraction_sweep_with_census_threads(
-                    &torus,
-                    &self.sweep_ps,
-                    self.trials,
-                    sweep_seed,
-                    self.census_threads,
-                )
-            };
+            let sweep =
+                giant_fraction_sweep(&torus, &self.sweep_ps, self.trials, sweep_seed, self.exec);
             let mut sweep_table = Table::new(["p", "giant fraction"]).with_title(format!(
                 "giant fraction sweep, d = {d}, torus side {largest}"
             ));
@@ -205,19 +152,25 @@ impl MeshThresholdExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultnet_percolation::threshold::estimate_threshold;
 
     #[test]
     fn two_dimensional_estimate_is_near_one_half() {
         let torus = Torus::new(2, 20);
-        let est = estimate_threshold(&torus, 0.25, 4, 0.02, 9);
+        let est = estimate_threshold(&torus, 0.25, 4, 0.02, 9, TrialExec::sequential());
         assert!((0.35..0.65).contains(&est), "estimate {est}");
     }
 
     #[test]
     fn three_dimensional_threshold_is_below_two_dimensional() {
-        let t2 = estimate_threshold(&Torus::new(2, 16), 0.25, 4, 0.02, 5);
-        let t3 = estimate_threshold(&Torus::new(3, 7), 0.25, 4, 0.02, 5);
+        let t2 = estimate_threshold(
+            &Torus::new(2, 16),
+            0.25,
+            4,
+            0.02,
+            5,
+            TrialExec::sequential(),
+        );
+        let t3 = estimate_threshold(&Torus::new(3, 7), 0.25, 4, 0.02, 5, TrialExec::sequential());
         assert!(t3 < t2, "t3 {t3} should be below t2 {t2}");
     }
 
@@ -235,8 +188,7 @@ mod tests {
         // otherwise the bisection could take a *different path* through p.
         let scalar = MeshThresholdExperiment::quick().run().render();
         let batched = MeshThresholdExperiment::quick()
-            .with_trial_batch(64)
-            .with_threads(2)
+            .with_exec(TrialExec::sequential().with_trial_batch(64).with_threads(2))
             .run()
             .render();
         assert_eq!(scalar, batched);

@@ -16,10 +16,8 @@
 //! behaviour; curves moving together is evidence of mesh-like behaviour.
 
 use faultnet_analysis::stats::Summary;
-use faultnet_analysis::sweep::Sweep;
 use faultnet_analysis::table::{fmt_float, Table};
-use faultnet_percolation::components::ComponentCensus;
-use faultnet_percolation::sample::BitsetSample;
+use faultnet_faultmodel::BernoulliEdges;
 use faultnet_percolation::PercolationConfig;
 use faultnet_routing::bfs::FloodRouter;
 use faultnet_routing::complexity::ComplexityHarness;
@@ -29,6 +27,8 @@ use faultnet_topology::de_bruijn::DeBruijn;
 use faultnet_topology::shuffle_exchange::ShuffleExchange;
 use faultnet_topology::Topology;
 
+use crate::exec::TrialExec;
+use crate::hypercube_giant::measure_giant_point_with_model;
 use crate::report::{Effort, ExperimentReport};
 
 /// Per-family sweep output: the rendered table plus the `(p, giant fraction)`
@@ -49,40 +49,32 @@ pub struct FamilyPoint {
     pub normalized_flood_cost: f64,
 }
 
-/// Measures one family at one probability, fanning both the component
-/// censuses and the conditioned routing trials across `threads` workers,
-/// and each individual census across `census_threads` workers
-/// (1 = sequential; the result is identical for every value of both).
+/// Measures one family at one probability under `exec`: the giant
+/// fraction through [`measure_giant_point_with_model`] and the conditioned
+/// flooding cost through the complexity harness (the result is identical
+/// for every `exec`).
 ///
 /// Every candidate family has a closed-form `Topology::edge_index`, so the
-/// per-instance [`BitsetSample`] always materialises as a true bitset
-/// (single-bit `is_open` reads) — the census loop never pays the
-/// `FrozenSample` hash path. A test below pins this down.
+/// per-instance [`faultnet_percolation::BitsetSample`] always materialises
+/// as a true bitset (single-bit `is_open` reads) — the census loop never
+/// pays the `FrozenSample` hash path. A test below pins this down.
 pub fn measure_family_point<T: Topology + Clone + Sync>(
     graph: &T,
     p: f64,
     trials: u32,
     base_seed: u64,
-    threads: usize,
-    census_threads: usize,
+    exec: TrialExec,
 ) -> FamilyPoint {
-    let giant_total: f64 = Sweep::over(0..trials)
-        .run_parallel(threads.max(1), |&t| {
-            let cfg = PercolationConfig::new(p, base_seed.wrapping_add(t as u64));
-            let sample = BitsetSample::from_config(graph, &cfg);
-            ComponentCensus::compute_parallel(graph, &sample, census_threads).giant_fraction()
-        })
-        .into_iter()
-        .map(|point| point.value)
-        .sum();
+    let model = BernoulliEdges::new();
+    let giant = measure_giant_point_with_model(&model, graph, p, trials, base_seed, exec);
     let harness =
         ComplexityHarness::new(graph.clone(), PercolationConfig::new(p, base_seed ^ 0xABCD));
     let (u, v) = graph.canonical_pair();
-    let stats = harness.measure_parallel(&FloodRouter::new(), u, v, trials, threads);
+    let stats = harness.measure(&model, &FloodRouter::new(), u, v, trials, exec);
     let mean_probes = Summary::from_counts(stats.probe_counts().iter().copied()).mean();
     FamilyPoint {
         p,
-        giant_fraction: giant_total / trials as f64,
+        giant_fraction: giant.giant_fraction,
         pair_connectivity: stats.connectivity_rate(),
         normalized_flood_cost: mean_probes / graph.num_edges() as f64,
     }
@@ -103,12 +95,9 @@ pub struct OpenQuestionsExperiment {
     pub trials: u32,
     /// Base seed.
     pub base_seed: u64,
-    /// Worker threads (1 = sequential; the reported numbers are identical
-    /// for every value).
-    pub threads: usize,
-    /// Intra-census worker threads (1 = sequential census; the reported
-    /// numbers are identical for every value).
-    pub census_threads: usize,
+    /// Wall-clock execution knobs (the reported numbers are identical for
+    /// every value).
+    pub exec: TrialExec,
 }
 
 impl OpenQuestionsExperiment {
@@ -123,8 +112,7 @@ impl OpenQuestionsExperiment {
             cycle_order: effort.pick(256, 2048),
             trials: effort.pick(6, 30),
             base_seed: 0xFA09,
-            threads: 1,
-            census_threads: 1,
+            exec: TrialExec::sequential(),
         }
     }
 
@@ -138,17 +126,10 @@ impl OpenQuestionsExperiment {
         Self::with_effort(Effort::Full)
     }
 
-    /// Sets the worker-thread count (the `--threads` knob of the binaries).
+    /// Sets the execution knobs.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
+    pub fn with_exec(mut self, exec: TrialExec) -> Self {
+        self.exec = exec;
         self
     }
 
@@ -180,8 +161,7 @@ impl OpenQuestionsExperiment {
                 self.base_seed
                     .wrapping_add(seed_offset)
                     .wrapping_add(pi as u64 * 131),
-                self.threads,
-                self.census_threads,
+                self.exec,
             );
             table.push_row([
                 format!("{p:.2}"),
@@ -258,7 +238,15 @@ mod tests {
     #[test]
     fn family_point_fields_are_sane() {
         let g = DeBruijn::new(7);
-        let point = measure_family_point(&g, 0.7, 5, 1, 2, 2);
+        let point = measure_family_point(
+            &g,
+            0.7,
+            5,
+            1,
+            TrialExec::sequential()
+                .with_threads(2)
+                .with_census_threads(2),
+        );
         assert!((0.0..=1.0).contains(&point.giant_fraction));
         assert!((0.0..=1.0).contains(&point.pair_connectivity));
         assert!(point.normalized_flood_cost.is_nan() || point.normalized_flood_cost <= 1.0);
@@ -267,8 +255,14 @@ mod tests {
     #[test]
     fn giant_fraction_grows_with_p() {
         let g = ShuffleExchange::new(8);
-        let low = measure_family_point(&g, 0.3, 5, 2, 1, 1);
-        let high = measure_family_point(&g, 0.9, 5, 2, 1, 2);
+        let low = measure_family_point(&g, 0.3, 5, 2, TrialExec::sequential());
+        let high = measure_family_point(
+            &g,
+            0.9,
+            5,
+            2,
+            TrialExec::sequential().with_census_threads(2),
+        );
         assert!(high.giant_fraction > low.giant_fraction);
     }
 
@@ -276,7 +270,7 @@ mod tests {
     fn e9_families_materialise_on_the_bitset_backend() {
         // The experiment's dense path builds one BitsetSample per instance;
         // all four candidate families must take the arithmetic-index path.
-        use faultnet_percolation::sample::SampleBackend;
+        use faultnet_percolation::sample::{BitsetSample, SampleBackend};
         let quick = OpenQuestionsExperiment::quick();
         let cfg = PercolationConfig::new(0.5, quick.base_seed);
         let de_bruijn = DeBruijn::new(quick.string_length);

@@ -93,16 +93,9 @@ pub struct RealWorldExperiment {
     pub probe_trials: u32,
     /// Base seed.
     pub base_seed: u64,
-    /// Worker threads (1 = sequential; the reported numbers are identical
-    /// for every value).
-    pub threads: usize,
-    /// Intra-census worker threads (1 = sequential census; the reported
-    /// numbers are identical for every value).
-    pub census_threads: usize,
-    /// Trial-batch lane request (0 = scalar engine; the reported numbers
-    /// are identical for every value — the adversarial column always runs
-    /// scalar, by [`FaultModel::lane_batchable`]).
-    pub trial_batch: usize,
+    /// Wall-clock execution knobs (the reported numbers are identical for
+    /// every value).
+    pub exec: TrialExec,
 }
 
 impl RealWorldExperiment {
@@ -124,9 +117,7 @@ impl RealWorldExperiment {
             probe_p: 0.9,
             probe_trials: effort.pick(8, 30),
             base_seed: 0xFA13,
-            threads: 1,
-            census_threads: 1,
-            trial_batch: 0,
+            exec: TrialExec::sequential(),
         }
     }
 
@@ -140,25 +131,10 @@ impl RealWorldExperiment {
         Self::with_effort(Effort::Full)
     }
 
-    /// Sets the worker-thread count (the `--threads` knob of the binaries).
+    /// Sets the execution knobs.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (the `--census-threads` knob).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
-        self
-    }
-
-    /// Sets the trial-batch lane request (the `--trial-batch` knob;
-    /// 0 keeps the scalar engine).
-    #[must_use]
-    pub fn with_trial_batch(mut self, trial_batch: usize) -> Self {
-        self.trial_batch = trial_batch;
+    pub fn with_exec(mut self, exec: TrialExec) -> Self {
+        self.exec = exec;
         self
     }
 
@@ -172,14 +148,6 @@ impl RealWorldExperiment {
         self
     }
 
-    /// The execution knobs this configuration runs under.
-    fn exec(&self) -> TrialExec {
-        TrialExec::sequential()
-            .with_threads(self.threads)
-            .with_census_threads(self.census_threads)
-            .with_trial_batch(self.trial_batch)
-    }
-
     /// Measures the flood-router probe cell for one substrate under one
     /// model at [`Self::probe_p`], on the substrate's canonical pair.
     fn probe_cell<M: FaultModel + Sync + ?Sized>(
@@ -190,30 +158,15 @@ impl RealWorldExperiment {
     ) -> f64 {
         let (u, v) = graph.canonical_pair();
         let harness =
-            ComplexityHarness::new(graph.clone(), PercolationConfig::new(self.probe_p, seed))
-                .with_census_threads(self.census_threads);
-        let router = FloodRouter::new();
-        let exec = self.exec();
-        let stats = if exec.batched() {
-            harness.measure_batched_with_model(
-                model,
-                &router,
-                u,
-                v,
-                self.probe_trials,
-                exec.trial_batch,
-                exec.threads,
-            )
-        } else {
-            harness.measure_parallel_with_model(
-                model,
-                &router,
-                u,
-                v,
-                self.probe_trials,
-                exec.threads,
-            )
-        };
+            ComplexityHarness::new(graph.clone(), PercolationConfig::new(self.probe_p, seed));
+        let stats = harness.measure(
+            model,
+            &FloodRouter::new(),
+            u,
+            v,
+            self.probe_trials,
+            self.exec,
+        );
         Summary::from_counts(stats.probe_counts().iter().copied()).mean()
     }
 
@@ -291,7 +244,7 @@ impl RealWorldExperiment {
                             .wrapping_add((si as u64) << 32)
                             .wrapping_add((pi as u64) << 8)
                             .wrapping_add(canonical_index(*mspec)),
-                        self.exec(),
+                        self.exec,
                     );
                     row.push(fmt_float(point.giant_fraction));
                     if *mspec == FaultModelSpec::BernoulliEdges {
@@ -437,8 +390,11 @@ mod tests {
         let scalar = RealWorldExperiment::quick().run().render();
         for trial_batch in [1, 64] {
             let batched = RealWorldExperiment::quick()
-                .with_trial_batch(trial_batch)
-                .with_threads(2)
+                .with_exec(
+                    TrialExec::sequential()
+                        .with_trial_batch(trial_batch)
+                        .with_threads(2),
+                )
                 .run()
                 .render();
             assert_eq!(scalar, batched, "trial_batch {trial_batch}");

@@ -20,7 +20,7 @@ use crate::{
     hypercube_lower_bound::HypercubeLowerBoundExperiment,
     hypercube_transition::HypercubeTransitionExperiment, mesh_routing::MeshRoutingExperiment,
     mesh_threshold::MeshThresholdExperiment, open_questions::OpenQuestionsExperiment,
-    real_world::RealWorldExperiment, Effort, ExperimentReport,
+    real_world::RealWorldExperiment, Effort, ExperimentReport, TrialExec,
 };
 
 /// One registered experiment: its identity plus a uniform way to run it at
@@ -36,27 +36,19 @@ pub struct RegisteredExperiment {
     /// trial-fan-out experiments: E8a, E8b, E11, E13). For the rest the knob
     /// is a no-op — their trial structure has nothing for lanes to pack.
     pub supports_trial_batch: bool,
-    run: fn(Effort, usize, usize, usize) -> ExperimentReport,
+    run: fn(Effort, TrialExec) -> ExperimentReport,
 }
 
 impl RegisteredExperiment {
-    /// Runs the experiment at the given effort across `threads` trial
-    /// workers and `census_threads` intra-census workers, with the
-    /// trial-batched engine at `trial_batch` lanes (0 = scalar; ignored by
-    /// experiments that don't [`Self::supports_trial_batch`]). All three
-    /// knobs are pure wall-clock levers: the report is a function of
-    /// `effort` alone.
-    pub fn run(
-        &self,
-        effort: Effort,
-        threads: usize,
-        census_threads: usize,
-        trial_batch: usize,
-    ) -> ExperimentReport {
+    /// Runs the experiment at the given effort under `exec` (its
+    /// `trial_batch` is dropped by experiments that don't
+    /// [`Self::supports_trial_batch`]). Every knob is a pure wall-clock
+    /// lever: the report is a function of `effort` alone.
+    pub fn run(&self, effort: Effort, exec: TrialExec) -> ExperimentReport {
         // `binary` is 'static, so it doubles as the span name: one span per
         // experiment, visible in `--trace` output as `exp_mesh_routing` etc.
         let _span = faultnet_obs::span(self.binary);
-        (self.run)(effort, threads, census_threads, trial_batch)
+        (self.run)(effort, exec)
     }
 }
 
@@ -64,27 +56,20 @@ impl RegisteredExperiment {
 /// adding an experiment; `run_all` and the end-to-end tests derive from it.
 pub fn registry() -> Vec<RegisteredExperiment> {
     // A macro keeps each entry to one line and guarantees every experiment
-    // is wired through the same with_effort/with_threads/run protocol. The
-    // `scalar`/`batched` marker states whether the experiment's struct has a
-    // `with_trial_batch` builder: `batched` entries forward the knob, the
-    // rest drop it (their trial structure has nothing for lanes to pack).
+    // is wired through the same with_effort/with_exec/run protocol. The
+    // `scalar`/`batched` marker states whether the experiment consumes the
+    // trial-batch knob: `batched` entries forward it, the rest drop it
+    // (their trial structure has nothing for lanes to pack).
     macro_rules! experiments {
         (@run scalar, $ty:ty) => {
-            |effort, threads, census_threads, _trial_batch| {
+            |effort, exec: TrialExec| {
                 <$ty>::with_effort(effort)
-                    .with_threads(threads)
-                    .with_census_threads(census_threads)
+                    .with_exec(exec.with_trial_batch(0))
                     .run()
             }
         };
         (@run batched, $ty:ty) => {
-            |effort, threads, census_threads, trial_batch| {
-                <$ty>::with_effort(effort)
-                    .with_threads(threads)
-                    .with_census_threads(census_threads)
-                    .with_trial_batch(trial_batch)
-                    .run()
-            }
+            |effort, exec| <$ty>::with_effort(effort).with_exec(exec).run()
         };
         (@supports scalar) => {
             false
@@ -119,23 +104,15 @@ pub fn registry() -> Vec<RegisteredExperiment> {
     }
 }
 
-/// Runs every registered experiment at the given effort across `threads`
-/// trial workers and `census_threads` intra-census workers, the
-/// trial-batched engine at `trial_batch` lanes (0 = scalar), in registry
-/// order, and returns the reports.
+/// Runs every registered experiment at the given effort under `exec`, in
+/// registry order, and returns the reports.
 ///
 /// The reported numbers are a pure function of `effort` (each experiment
-/// bakes in its base seed); `threads`, `census_threads`, and `trial_batch`
-/// only change wall-clock time.
-pub fn run_all_reports(
-    effort: Effort,
-    threads: usize,
-    census_threads: usize,
-    trial_batch: usize,
-) -> Vec<ExperimentReport> {
+/// bakes in its base seed); `exec` only changes wall-clock time.
+pub fn run_all_reports(effort: Effort, exec: TrialExec) -> Vec<ExperimentReport> {
     registry()
         .iter()
-        .map(|experiment| experiment.run(effort, threads, census_threads, trial_batch))
+        .map(|experiment| experiment.run(effort, exec))
         .collect()
 }
 

@@ -21,6 +21,7 @@ use std::sync::Mutex;
 
 use faultnet_experiments::report::Effort;
 use faultnet_experiments::suite::{registry, run_all_reports};
+use faultnet_experiments::TrialExec;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -30,7 +31,11 @@ fn rendered_zoo(
     census_threads: usize,
     trial_batch: usize,
 ) -> Vec<(String, String)> {
-    run_all_reports(Effort::Quick, threads, census_threads, trial_batch)
+    let exec = TrialExec::sequential()
+        .with_threads(threads)
+        .with_census_threads(census_threads)
+        .with_trial_batch(trial_batch);
+    run_all_reports(Effort::Quick, exec)
         .iter()
         .map(|report| (report.render(), report.render_markdown()))
         .collect()

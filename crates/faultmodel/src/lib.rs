@@ -36,6 +36,9 @@
 //!   [`faultnet_percolation::dynamic::ChurnSchedule`]
 //!   ([`FaultModel::churned`], [`FaultModel::resampled`]), feeding the
 //!   incremental census that E12 measures over time.
+//! * [`trials`] — the one trial loop every Monte-Carlo measurement folds
+//!   over ([`trials::run_trials`]), run under the wall-clock knobs of a
+//!   [`TrialExec`].
 //!
 //! # Determinism and thread-splitting contract
 //!
@@ -43,10 +46,11 @@
 //! `(model parameters, graph, config, pair)`. No interior mutability, no
 //! global RNG: two calls with the same inputs yield instances that agree on
 //! every edge, and concurrent calls from different worker threads (the
-//! parallel harness hands trial `t` the seed `base + t`) are independent.
-//! This is the same contract the existing [`faultnet_percolation::EdgeSampler`]
-//! obeys, and it is what keeps `measure_parallel` bit-identical to
-//! sequential measurement for *every* model, not just the Bernoulli one.
+//! trial loop in [`trials`] hands trial `t` the seed `base + t`) are
+//! independent. This is the same contract the existing
+//! [`faultnet_percolation::EdgeSampler`] obeys, and it is what keeps every
+//! [`TrialExec`] bit-identical to sequential measurement for *every* model,
+//! not just the Bernoulli one.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -61,12 +65,14 @@ pub mod bernoulli;
 pub mod correlated;
 pub mod dynamic;
 pub mod spec;
+pub mod trials;
 
 pub use adversarial::AdversarialBudget;
 pub use bernoulli::{BernoulliEdges, BernoulliNodes};
 pub use correlated::CorrelatedRegions;
 pub use dynamic::{Churned, DynamicFaultModel, Resampled};
 pub use spec::FaultModelSpec;
+pub use trials::TrialExec;
 
 /// A fault model: a deterministic recipe turning `(graph, config, pair)`
 /// into one concrete fault instance.

@@ -19,9 +19,10 @@
 //!   to the corresponding scalar trial.
 //! * [`subgraph::PercolatedGraph`] — a view of a topology restricted to open
 //!   edges.
-//! * [`components`], [`threshold`] — giant-component census and critical
-//!   probability estimation (the `p_c` of Theorem 4, the `1/n` threshold of
-//!   Ajtai–Komlós–Szemerédi on the hypercube).
+//! * [`components`] — the giant-component census behind the critical
+//!   probabilities (the `p_c` of Theorem 4, the `1/n` threshold of
+//!   Ajtai–Komlós–Szemerédi on the hypercube), which the experiments
+//!   estimate by Monte-Carlo over the trial loop in `faultnet-faultmodel`.
 //! * [`bfs`], [`diameter`], [`chemical`] — percolation (chemical) distances,
 //!   used to verify the Antal–Pisztora input of Lemma 8.
 //! * [`branching`] — Galton–Watson analytics used by the double-tree results
@@ -42,7 +43,6 @@ pub mod diameter;
 pub mod dynamic;
 pub mod sample;
 pub mod subgraph;
-pub mod threshold;
 pub mod trial_batch;
 pub mod union_find;
 

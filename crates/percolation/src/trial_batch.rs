@@ -33,10 +33,10 @@
 //! # Fallback
 //!
 //! The transposed store requires a closed-form [`Topology::edge_index`].
-//! Every built-in family provides one (PR 3); for third-party topologies
-//! without it, the batched entry points in [`crate::threshold`] and the
-//! routing harness fall back to the scalar engine — which the equivalence
-//! suite proves is the same answer, just slower.
+//! Every built-in family provides one; for topologies without it, the
+//! trial loop (`faultnet_faultmodel::trials::run_trials`) falls back to
+//! the scalar store — which the equivalence suites prove is the same
+//! answer, just slower.
 
 use std::collections::VecDeque;
 
@@ -56,8 +56,8 @@ pub const MAX_LANES: usize = 64;
 /// different code path that happens to produce the same numbers, which is
 /// exactly the kind of divergence the equivalence suites exist to make
 /// loud. Values above [`MAX_LANES`] saturate at 64 (a word holds no more),
-/// and `1..=64` pass through. Exposed so the CLI, the harness, and the
-/// tests agree on one clamping rule.
+/// and `1..=64` pass through. Exposed so the trial loop and the tests
+/// agree on one clamping rule.
 ///
 /// # Panics
 ///

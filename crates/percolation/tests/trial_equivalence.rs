@@ -6,10 +6,9 @@
 //! `s + l`, a census over a [`LaneView`] equals the census over that scalar
 //! sample on *every* public accessor, the bit-parallel
 //! [`TrialBatch::connected_lanes`] fixpoint decides per-lane connectivity
-//! exactly as the scalar census does, and the batched trial means
-//! ([`mean_giant_fraction_batched`]) are bit-identical to the scalar loop
-//! for every batch size — including the ragged tails where
-//! `trials % lanes != 0`.
+//! exactly as the scalar census does. The measurements built on top —
+//! giant-fraction means and conditioned routing over the trial loop — pin
+//! their own batched-vs-scalar equality next to their code.
 //!
 //! This is the mold of `census_equivalence.rs` one layer up: that suite
 //! pins the parallel census to the sequential census; this one pins the
@@ -18,7 +17,6 @@
 use faultnet_percolation::{
     components::ComponentCensus,
     sample::{BitsetSample, EdgeStates, FrozenSample},
-    threshold::{mean_giant_fraction_batched, mean_giant_fraction_with_census_threads},
     trial_batch::{clamp_lanes, TrialBatch},
     PercolationConfig,
 };
@@ -197,54 +195,6 @@ proptest! {
             }
         }
     }
-
-    /// The batched trial mean is bit-identical to the scalar loop for every
-    /// batch size in the contract — including 65 and 200, which clamp to 64
-    /// — and for ragged trial counts on both sides of the word boundary.
-    /// (Per concrete family: the threshold entry points are generic over
-    /// `T: Topology + Sync`, so the type-erased zoo can't feed them.)
-    #[test]
-    fn batched_means_are_bit_identical_across_the_zoo(
-        p in 0.0f64..1.0,
-        base_seed in any::<u64>(),
-    ) {
-        assert_batched_means_identical(&Hypercube::new(5), p, base_seed);
-        assert_batched_means_identical(&Mesh::new(2, 5), p, base_seed);
-        assert_batched_means_identical(&Torus::new(2, 4), p, base_seed);
-        assert_batched_means_identical(&CompleteGraph::new(16), p, base_seed);
-        assert_batched_means_identical(&DeBruijn::new(5), p, base_seed);
-        assert_batched_means_identical(&ShuffleExchange::new(5), p, base_seed);
-        assert_batched_means_identical(&Butterfly::new(3), p, base_seed);
-        assert_batched_means_identical(&BinaryTree::new(4), p, base_seed);
-        assert_batched_means_identical(&DoubleBinaryTree::new(3), p, base_seed);
-        assert_batched_means_identical(
-            &CycleWithMatching::new(16, MatchingKind::Antipodal),
-            p,
-            base_seed,
-        );
-        assert_batched_means_identical(
-            &ExplicitGraph::from_topology(&Mesh::new(2, 4)),
-            p,
-            base_seed,
-        );
-    }
-}
-
-/// Asserts [`mean_giant_fraction_batched`] == the scalar loop, to the bit,
-/// for the contract's trial counts and batch sizes on one family.
-fn assert_batched_means_identical<T: Topology + Sync>(graph: &T, p: f64, base_seed: u64) {
-    for trials in [1u32, 63, 65] {
-        let scalar = mean_giant_fraction_with_census_threads(graph, p, trials, base_seed, 1);
-        for batch in BATCH_SIZES {
-            let batched = mean_giant_fraction_batched(graph, p, trials, base_seed, 1, batch);
-            assert_eq!(
-                scalar.to_bits(),
-                batched.to_bits(),
-                "{}: trials {trials}, batch {batch}, p {p}, seed {base_seed}",
-                graph.name()
-            );
-        }
-    }
 }
 
 proptest! {
@@ -307,24 +257,9 @@ proptest! {
     }
 }
 
-/// Satellite 2 — the ragged tails and degenerate censuses, pinned as plain
-/// tests so they run on every `cargo test` regardless of proptest's dice.
-#[test]
-fn ragged_trial_counts_are_bit_identical() {
-    let torus = Torus::new(2, 4);
-    for trials in [1u32, 63, 65] {
-        let scalar = mean_giant_fraction_with_census_threads(&torus, 0.45, trials, 17, 1);
-        for batch in BATCH_SIZES {
-            let batched = mean_giant_fraction_batched(&torus, 0.45, trials, 17, 1, batch);
-            assert_eq!(
-                scalar.to_bits(),
-                batched.to_bits(),
-                "trials {trials}, batch {batch}"
-            );
-        }
-    }
-}
-
+/// Satellite 2 — the degenerate censuses, pinned as plain tests so they
+/// run on every `cargo test` regardless of proptest's dice.
+///
 /// An all-lanes-closed batch censuses every lane to isolated singletons; a
 /// batch with a single open lane keeps the other lanes untouched.
 #[test]

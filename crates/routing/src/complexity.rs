@@ -3,27 +3,27 @@
 //! The routing complexity of an algorithm `A` with respect to `u, v` is the
 //! number of probes `A` makes to find a path in `G_p`, **conditioned on the
 //! event `{u ∼ v}`**. The harness in this module turns that definition into a
-//! measurement procedure: sample independent percolation instances, discard
-//! those where `u` and `v` are not connected (checking connectivity with an
-//! un-metered BFS — the ground truth, not a router), run the router on the
-//! remaining instances, verify any returned path, and record the probe
-//! counts.
+//! measurement procedure: sample independent fault instances, discard those
+//! where `u` and `v` are not connected (checking connectivity with an
+//! un-metered BFS or census — the ground truth, not a router), run the
+//! router on the remaining instances, verify any returned path, and record
+//! the probe counts.
 //!
-//! The fault process itself is pluggable: the default `measure` /
-//! `measure_parallel` methods realise the paper's i.i.d. Bernoulli edge
-//! faults through the lazy [`faultnet_percolation::EdgeSampler`], while the
-//! `*_with_model` variants run the identical conditioned-trial procedure
-//! under any [`faultnet_faultmodel::FaultModel`] (node faults, correlated
-//! fault regions, adversarial cuts, …). Both paths share one trial
-//! classifier, and both obey the same determinism contract: trial `t` is a
-//! pure function of `config.seed() + t`, so parallel measurement merges to
-//! bit-identical statistics for every model and thread count.
+//! The fault process is pluggable: [`ComplexityHarness::measure`] draws
+//! each trial from any [`faultnet_faultmodel::FaultModel`] (the paper's
+//! i.i.d. edge faults are [`faultnet_faultmodel::BernoulliEdges`]; node
+//! faults, correlated regions and adversarial cuts plug in the same way).
+//! The trials come from the workspace's one trial loop,
+//! [`faultnet_faultmodel::trials::run_trials`]: trial `t` is a pure function
+//! of `config.seed() + t`, and results fold in trial order, so the
+//! statistics are bit-identical for every [`TrialExec`].
 
-use faultnet_analysis::sweep::Sweep;
-use faultnet_faultmodel::FaultModel;
+use faultnet_faultmodel::trials::{run_trials, TrialExec, TrialVisitor};
+use faultnet_faultmodel::{FaultInstance, FaultModel};
 use faultnet_percolation::bfs::connected;
+use faultnet_percolation::components::ComponentCensus;
 use faultnet_percolation::sample::EdgeStates;
-use faultnet_percolation::trial_batch::{clamp_lanes, LaneView, TrialBatch};
+use faultnet_percolation::trial_batch::{LaneView, TrialBatch};
 use faultnet_percolation::PercolationConfig;
 use faultnet_topology::{Topology, VertexId};
 
@@ -59,9 +59,8 @@ pub enum TrialResult {
 /// Aggregated routing-complexity statistics for one router and vertex pair.
 ///
 /// Two `ComplexityStats` compare equal iff every counter **and** the ordered
-/// list of per-trial probe counts agree; this is the equality the parallel
-/// harness's determinism contract is stated in (see
-/// [`ComplexityHarness::measure_parallel`]).
+/// list of per-trial probe counts agree; this is the equality the
+/// determinism contract is stated in (see [`ComplexityHarness::measure`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComplexityStats {
     router: String,
@@ -192,6 +191,7 @@ impl ComplexityStats {
 /// # Examples
 ///
 /// ```
+/// use faultnet_faultmodel::{trials::TrialExec, BernoulliEdges};
 /// use faultnet_percolation::PercolationConfig;
 /// use faultnet_routing::{bfs::FloodRouter, complexity::ComplexityHarness};
 /// use faultnet_topology::{hypercube::Hypercube, Topology};
@@ -200,7 +200,14 @@ impl ComplexityStats {
 /// let cfg = PercolationConfig::new(0.6, 7);
 /// let harness = ComplexityHarness::new(cube, cfg);
 /// let (u, v) = harness.graph().canonical_pair();
-/// let stats = harness.measure(&FloodRouter::new(), u, v, 10);
+/// let stats = harness.measure(
+///     &BernoulliEdges::new(),
+///     &FloodRouter::new(),
+///     u,
+///     v,
+///     10,
+///     TrialExec::sequential(),
+/// );
 /// assert!(stats.success_rate() > 0.9);
 /// ```
 #[derive(Debug, Clone)]
@@ -208,7 +215,6 @@ pub struct ComplexityHarness<T> {
     graph: T,
     config: PercolationConfig,
     probe_budget: Option<u64>,
-    census_threads: usize,
 }
 
 impl<T: Topology> ComplexityHarness<T> {
@@ -219,7 +225,6 @@ impl<T: Topology> ComplexityHarness<T> {
             graph,
             config,
             probe_budget: None,
-            census_threads: 1,
         }
     }
 
@@ -230,26 +235,6 @@ impl<T: Topology> ComplexityHarness<T> {
     #[must_use]
     pub fn with_probe_budget(mut self, budget: u64) -> Self {
         self.probe_budget = Some(budget);
-        self
-    }
-
-    /// Checks each trial's conditioning event `{u ∼ v}` with the parallel
-    /// component census ([`ComponentCensus::compute_parallel`] on `threads`
-    /// workers) instead of the sequential BFS.
-    ///
-    /// The two checks answer identically — the census's `same_component` is
-    /// connectivity — so this is a pure wall-clock knob: every recorded
-    /// number is bit-identical for every value (property-tested). Worth
-    /// switching on for instances large enough that a single connectivity
-    /// check dominates a trial (the n ≥ 16 hypercube grids); for small
-    /// graphs the early-exiting BFS is the faster conditioning check.
-    /// `threads <= 1` keeps the BFS.
-    ///
-    /// [`ComponentCensus::compute_parallel`]:
-    /// faultnet_percolation::components::ComponentCensus::compute_parallel
-    #[must_use]
-    pub fn with_census_threads(mut self, threads: usize) -> Self {
-        self.census_threads = threads.max(1);
         self
     }
 
@@ -264,8 +249,8 @@ impl<T: Topology> ComplexityHarness<T> {
     }
 
     /// Classifies one conditioned trial: runs `router` against the given
-    /// edge `states` and buckets the outcome. Shared by the Bernoulli fast
-    /// path and the fault-model path, so the two classify identically.
+    /// edge `states` and buckets the outcome. Every store (one instance or
+    /// one lane of a batch) goes through here, so all classify identically.
     fn classify_trial<R, S>(&self, router: &R, states: &S, u: VertexId, v: VertexId) -> TrialResult
     where
         S: EdgeStates,
@@ -312,204 +297,98 @@ impl<T: Topology> ComplexityHarness<T> {
         result
     }
 
-    /// The conditioning check `{u ∼ v}`: an early-exiting BFS by default, or
-    /// the parallel component census when
-    /// [`ComplexityHarness::with_census_threads`] raised the knob above 1.
-    /// The two agree on every instance — connectivity is connectivity — so
-    /// the choice never changes a recorded number.
-    fn pair_connected<S>(&self, states: &S, u: VertexId, v: VertexId) -> bool
-    where
-        T: Sync,
-        S: EdgeStates + Sync,
-    {
-        if self.census_threads <= 1 {
-            return connected(&self.graph, states, u, v);
-        }
-        faultnet_percolation::components::ComponentCensus::compute_parallel(
-            &self.graph,
-            states,
-            self.census_threads,
-        )
-        .same_component(u, v)
-    }
-
-    /// Runs a single conditioned trial with the given seed, or `None` if the
-    /// conditioning event `{u ∼ v}` fails in that instance.
-    pub fn run_trial<R>(
-        &self,
-        router: &R,
-        u: VertexId,
-        v: VertexId,
-        seed: u64,
-    ) -> Option<TrialResult>
-    where
-        T: Sync,
-        R: Router<T, faultnet_percolation::EdgeSampler>,
-    {
-        let cfg = self.config.with_seed(seed);
-        let sampler = cfg.sampler();
-        if !self.pair_connected(&sampler, u, v) {
-            faultnet_obs::count("routing.trials.rejected", 1);
-            return None;
-        }
-        Some(self.classify_trial(router, &sampler, u, v))
-    }
-
-    /// Like [`ComplexityHarness::run_trial`], but draws the instance from an
-    /// arbitrary [`FaultModel`] instead of the Bernoulli edge sampler. The
-    /// routed pair is forwarded to the model so pair-targeting models (the
-    /// adversary) aim at the measured flow.
-    pub fn run_trial_with_model<M, R>(
-        &self,
-        model: &M,
-        router: &R,
-        u: VertexId,
-        v: VertexId,
-        seed: u64,
-    ) -> Option<TrialResult>
-    where
-        T: Sync,
-        M: FaultModel + ?Sized,
-        R: Router<T, faultnet_faultmodel::FaultInstance>,
-    {
-        let cfg = self.config.with_seed(seed);
-        let instance = model.instance(&self.graph, cfg, Some((u, v)));
-        if !self.pair_connected(&instance, u, v) {
-            faultnet_obs::count("routing.trials.rejected", 1);
-            return None;
-        }
-        Some(self.classify_trial(router, &instance, u, v))
-    }
-
-    /// One conditioned trial drawing its instance from a hoisted
-    /// [`PairPlacement`] (see [`FaultModel::pair_placement`]) instead of
-    /// asking the model from scratch. Shared by the sequential and parallel
-    /// model measurements so both amortise identically.
-    fn run_trial_with_placement<M, R>(
-        &self,
-        model: &M,
-        placement: &faultnet_faultmodel::PairPlacement,
-        router: &R,
-        u: VertexId,
-        v: VertexId,
-        seed: u64,
-    ) -> Option<TrialResult>
-    where
-        T: Sync,
-        M: FaultModel + ?Sized,
-        R: Router<T, faultnet_faultmodel::FaultInstance>,
-    {
-        let cfg = self.config.with_seed(seed);
-        let instance = model.instance_from_placement(placement, &self.graph, cfg, (u, v));
-        if !self.pair_connected(&instance, u, v) {
-            faultnet_obs::count("routing.trials.rejected", 1);
-            return None;
-        }
-        Some(self.classify_trial(router, &instance, u, v))
-    }
-
-    /// Measures `router` between `u` and `v` over `trials` independent
-    /// percolation instances, conditioning on `{u ∼ v}`.
+    /// Measures `router` between `u` and `v` over `trials` instances of
+    /// `model`, conditioning on `{u ∼ v}`.
+    ///
+    /// Trials come from [`run_trials`]: the model's seed-independent
+    /// placement is hoisted once, trial `t` is the instance at seed
+    /// `config.seed() + t`, and outcomes fold in trial order. `exec` only
+    /// changes how the trials run, never the statistics:
+    ///
+    /// * `exec.threads` fans trials (or lane chunks) across workers;
+    /// * `exec.trial_batch > 0` packs up to 64 trials into one
+    ///   [`TrialBatch`] where the model and graph allow, and decides
+    ///   conditioning for the whole chunk with
+    ///   [`TrialBatch::connected_lanes`];
+    /// * on a single instance, `exec.census_threads > 1` checks `{u ∼ v}`
+    ///   with [`ComponentCensus::compute_parallel`] instead of an
+    ///   early-exiting BFS. Which is faster depends on the side of the
+    ///   giant threshold, not on graph size. The BFS stops once `u`'s
+    ///   component is exhausted, so below `1/n` it touches a handful of
+    ///   edges where a census scans all of them: H₁₆ at p = 0.05 takes
+    ///   1.3 µs by BFS vs 13.4 ms by sequential census. With a giant
+    ///   component the BFS chases most of the graph through its visited
+    ///   map while the census scans edges in order, and the census wins
+    ///   by 2–3×: H₁₄ at p = 0.5 takes 9.9 ms by BFS vs 4.2 ms by
+    ///   sequential census (`conditioning/bfs_vs_census` in the `census`
+    ///   bench target, release build, 2-core VM).
+    ///
+    /// For every `exec`, the result equals
+    /// [`ComplexityHarness::measure_with_model`] — every counter and the
+    /// ordered probe counts (the `trial_equivalence` suite pins this).
     ///
     /// # Panics
     ///
-    /// Panics if the router reports an error other than budget exhaustion
-    /// (locality violations and unsupported-topology errors indicate misuse
-    /// and should fail loudly in experiments).
-    pub fn measure<R>(&self, router: &R, u: VertexId, v: VertexId, trials: u32) -> ComplexityStats
-    where
-        T: Sync,
-        R: Router<T, faultnet_percolation::EdgeSampler>,
-    {
-        let mut stats = ComplexityStats::empty(router.name(), trials);
-        for t in 0..trials {
-            let seed = self.config.seed().wrapping_add(t as u64);
-            if let Some(result) = self.run_trial(router, u, v, seed) {
-                stats.record(result);
-            }
-        }
-        stats
-    }
-
-    /// Like [`ComplexityHarness::measure`], but fans the conditioned trials
-    /// out across up to `threads` worker threads.
-    ///
-    /// Trials are independent by construction — trial `t` is a pure function
-    /// of seed `config.seed() + t` — so the trial indices are fanned across
-    /// scoped workers through [`Sweep::run_parallel`] (the workspace's one
-    /// work-queue primitive), which preserves parameter order. The per-trial
-    /// outcomes are then folded **in trial order**, which makes the result
-    /// *bit-identical* to the sequential path: for every router, seed, and
-    /// thread count, `measure_parallel(r, u, v, n, k) == measure(r, u, v, n)`
-    /// (the property tests assert this equality across seeds and thread
-    /// counts). Experiment tables therefore do not change when the
-    /// `--threads` knob does.
-    ///
-    /// `threads == 1` runs the sequential path directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`, if a worker panics, or if the router reports
-    /// an error other than budget exhaustion (as in
-    /// [`ComplexityHarness::measure`]).
+    /// Panics if `exec.threads == 0`, or if the router reports an error
+    /// other than budget exhaustion (locality violations and
+    /// unsupported-topology errors indicate misuse and should fail loudly).
     ///
     /// # Examples
     ///
     /// ```
+    /// use faultnet_faultmodel::{trials::TrialExec, BernoulliNodes};
     /// use faultnet_percolation::PercolationConfig;
     /// use faultnet_routing::{bfs::FloodRouter, complexity::ComplexityHarness};
     /// use faultnet_topology::{hypercube::Hypercube, Topology};
     ///
-    /// let harness = ComplexityHarness::new(Hypercube::new(7), PercolationConfig::new(0.6, 3));
+    /// let harness = ComplexityHarness::new(Hypercube::new(7), PercolationConfig::new(0.8, 3));
     /// let (u, v) = harness.graph().canonical_pair();
-    /// let sequential = harness.measure(&FloodRouter::new(), u, v, 12);
-    /// let parallel = harness.measure_parallel(&FloodRouter::new(), u, v, 12, 4);
-    /// assert_eq!(sequential, parallel);
+    /// let model = BernoulliNodes::new();
+    /// let sequential = harness.measure_with_model(&model, &FloodRouter::new(), u, v, 12);
+    /// let exec = TrialExec::sequential().with_threads(4).with_trial_batch(64);
+    /// let batched = harness.measure(&model, &FloodRouter::new(), u, v, 12, exec);
+    /// assert_eq!(sequential, batched);
     /// ```
-    pub fn measure_parallel<R>(
+    pub fn measure<M, R>(
         &self,
+        model: &M,
         router: &R,
         u: VertexId,
         v: VertexId,
         trials: u32,
-        threads: usize,
+        exec: TrialExec,
     ) -> ComplexityStats
     where
         T: Sync,
-        R: Router<T, faultnet_percolation::EdgeSampler> + Sync,
+        M: FaultModel + Sync + ?Sized,
+        R: Router<T, FaultInstance> + for<'b, 'g> Router<T, LaneView<'b, 'g, T>> + Sync,
     {
-        assert!(threads > 0, "at least one thread is required");
-        let threads = threads.min(trials.max(1) as usize);
-        if threads == 1 {
-            return self.measure(router, u, v, trials);
-        }
-        let per_trial = Sweep::over(0..trials).run_parallel(threads, |&t| {
-            let seed = self.config.seed().wrapping_add(t as u64);
-            self.run_trial(router, u, v, seed)
-        });
-        let mut stats = ComplexityStats::empty(router.name(), trials);
-        for point in per_trial {
-            if let Some(result) = point.value {
-                stats.record(result);
-            }
+        let visitor = Conditioned {
+            harness: self,
+            router,
+            u,
+            v,
+            census_threads: exec.census_threads,
+        };
+        let per_trial = run_trials(
+            model,
+            &self.graph,
+            self.config,
+            (u, v),
+            trials,
+            exec,
+            &visitor,
+        );
+        let mut stats = ComplexityStats::empty(Router::<T, FaultInstance>::name(router), trials);
+        for result in per_trial.into_iter().flatten() {
+            stats.record(result);
         }
         stats
     }
 
-    /// Like [`ComplexityHarness::measure`], but samples each trial's
-    /// instance from an arbitrary [`FaultModel`] instead of the Bernoulli
-    /// edge sampler — the conditioning, verification, and bucketing are
-    /// identical.
-    ///
-    /// Measuring `BernoulliEdges` through this method reproduces
-    /// [`ComplexityHarness::measure`] exactly (the model delegates to the
-    /// same pure `(seed, edge)` function; the tests assert equality).
-    /// The seed-independent part of the model's placement (the adversary's
-    /// greedy cut set) is computed **once** per measurement through
-    /// [`FaultModel::pair_placement`] and reused across all `trials` — by
-    /// the placement contract this changes nothing but wall-clock time (a
-    /// regression test asserts byte-identity against the uncached per-trial
-    /// path).
+    /// The sequential scalar measurement: [`ComplexityHarness::measure`]
+    /// under [`TrialExec::sequential`], the oracle every other `exec` must
+    /// reproduce.
     pub fn measure_with_model<M, R>(
         &self,
         model: &M,
@@ -520,177 +399,14 @@ impl<T: Topology> ComplexityHarness<T> {
     ) -> ComplexityStats
     where
         T: Sync,
-        M: FaultModel + ?Sized,
-        R: Router<T, faultnet_faultmodel::FaultInstance>,
-    {
-        let placement = model.pair_placement(&self.graph, (u, v));
-        let mut stats = ComplexityStats::empty(router.name(), trials);
-        for t in 0..trials {
-            let seed = self.config.seed().wrapping_add(t as u64);
-            if let Some(result) =
-                self.run_trial_with_placement(model, &placement, router, u, v, seed)
-            {
-                stats.record(result);
-            }
-        }
-        stats
-    }
-
-    /// Like [`ComplexityHarness::measure_parallel`], but under an arbitrary
-    /// [`FaultModel`].
-    ///
-    /// The determinism contract carries over model-independently: a model's
-    /// instance is a pure function of `(model, graph, seed, pair)` (the
-    /// [`FaultModel`] contract), trial outcomes are folded in trial order,
-    /// so for every model, router, seed, and thread count
-    /// `measure_parallel_with_model(m, r, u, v, n, k) ==
-    /// measure_with_model(m, r, u, v, n)` — bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`ComplexityHarness::measure_parallel`].
-    pub fn measure_parallel_with_model<M, R>(
-        &self,
-        model: &M,
-        router: &R,
-        u: VertexId,
-        v: VertexId,
-        trials: u32,
-        threads: usize,
-    ) -> ComplexityStats
-    where
-        T: Sync,
         M: FaultModel + Sync + ?Sized,
-        R: Router<T, faultnet_faultmodel::FaultInstance> + Sync,
+        R: Router<T, FaultInstance> + for<'b, 'g> Router<T, LaneView<'b, 'g, T>> + Sync,
     {
-        assert!(threads > 0, "at least one thread is required");
-        let threads = threads.min(trials.max(1) as usize);
-        if threads == 1 {
-            return self.measure_with_model(model, router, u, v, trials);
-        }
-        // Hoist the seed-independent placement once, shared by all workers.
-        let placement = model.pair_placement(&self.graph, (u, v));
-        let per_trial = Sweep::over(0..trials).run_parallel(threads, |&t| {
-            let seed = self.config.seed().wrapping_add(t as u64);
-            self.run_trial_with_placement(model, &placement, router, u, v, seed)
-        });
-        let mut stats = ComplexityStats::empty(router.name(), trials);
-        for point in per_trial {
-            if let Some(result) = point.value {
-                stats.record(result);
-            }
-        }
-        stats
+        self.measure(model, router, u, v, trials, TrialExec::sequential())
     }
 
-    /// Like [`ComplexityHarness::measure_parallel`], but runs the trials
-    /// through the trial-batched (multispin) engine: chunks of up to
-    /// `min(trial_batch, 64)` consecutive trials share one
-    /// [`TrialBatch`], the Definition 2 conditioning event `{u ∼ v}` is
-    /// decided for the whole chunk by one bit-parallel BFS
-    /// ([`TrialBatch::connected_lanes`]), and each conditioned lane is
-    /// routed over its single-bit-read [`LaneView`]. Chunks fan out across
-    /// `threads` workers, so batching multiplies with the trial fan-out
-    /// instead of competing with it.
-    ///
-    /// The statistics are **bit-identical** to [`ComplexityHarness::measure`]
-    /// for every `trial_batch` and `threads` value: lane `l` of the chunk
-    /// starting at trial `t0` reads exactly the edge states of the scalar
-    /// trial with seed `config.seed() + t0 + l` (the transpose is a
-    /// relayout, not a resample), the batched conditioning computes per lane
-    /// the same connectivity event as the scalar BFS/census, and outcomes
-    /// are folded in trial order. The `trial_equivalence` suites pin this
-    /// across routers, seeds, thread counts, and batch sizes. Topologies
-    /// without a closed-form edge index fall back to the scalar engine
-    /// outright.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or `trial_batch == 0` (`0` is the CLI's
-    /// "batching off" sentinel and must not reach the engine), or under the
-    /// same router-error conditions as [`ComplexityHarness::measure`].
-    pub fn measure_batched<R>(
-        &self,
-        router: &R,
-        u: VertexId,
-        v: VertexId,
-        trials: u32,
-        trial_batch: usize,
-        threads: usize,
-    ) -> ComplexityStats
-    where
-        T: Sync,
-        R: Router<T, faultnet_percolation::EdgeSampler>
-            + for<'b, 'g> Router<T, LaneView<'b, 'g, T>>
-            + Sync,
-    {
-        assert!(threads > 0, "at least one thread is required");
-        assert!(
-            trial_batch > 0,
-            "trial_batch 0 means 'off'; use measure/measure_parallel"
-        );
-        if !TrialBatch::supported(&self.graph) {
-            return self.measure_parallel(router, u, v, trials, threads);
-        }
-        let name = Router::<T, faultnet_percolation::EdgeSampler>::name(router);
-        let lanes_per_chunk = clamp_lanes(trial_batch);
-        let starts: Vec<u32> = (0..trials).step_by(lanes_per_chunk).collect();
-        let run_chunk = |t0: u32| -> Vec<Option<TrialResult>> {
-            let lanes = lanes_per_chunk.min((trials - t0) as usize);
-            let cfg = self
-                .config
-                .with_seed(self.config.seed().wrapping_add(t0 as u64));
-            let batch = TrialBatch::from_config(&self.graph, &cfg, lanes);
-            let conditioned = batch.connected_lanes(u, v);
-            (0..lanes)
-                .map(|l| {
-                    if conditioned >> l & 1 == 1 {
-                        Some(self.classify_trial(router, &batch.lane_view(l), u, v))
-                    } else {
-                        faultnet_obs::count("routing.trials.rejected", 1);
-                        None
-                    }
-                })
-                .collect()
-        };
-        let threads = threads.min(starts.len().max(1));
-        let per_chunk: Vec<Vec<Option<TrialResult>>> = if threads <= 1 {
-            starts.iter().map(|&t0| run_chunk(t0)).collect()
-        } else {
-            Sweep::over(starts)
-                .run_parallel(threads, |&t0| run_chunk(t0))
-                .into_iter()
-                .map(|point| point.value)
-                .collect()
-        };
-        let mut stats = ComplexityStats::empty(name, trials);
-        for result in per_chunk.into_iter().flatten().flatten() {
-            stats.record(result);
-        }
-        stats
-    }
-
-    /// Like [`ComplexityHarness::measure_batched`], but under an arbitrary
-    /// [`FaultModel`]: the hoisted placement builds one [`FaultInstance`]
-    /// per lane (seed `config.seed() + t0 + l`, exactly the scalar trial's
-    /// seed), and [`TrialBatch::from_lane_states`] transposes the chunk —
-    /// node-mask and severed-edge overlays densify per lane like any other
-    /// `EdgeStates` producer, so they compose identically on the batched
-    /// substrate (property-tested).
-    ///
-    /// Models with [`FaultModel::lane_batchable`]` == false` (the
-    /// adversary) fall back to
-    /// [`ComplexityHarness::measure_parallel_with_model`], announced once
-    /// per process via [`faultnet_faultmodel::warn_scalar_fallback`]; the
-    /// results are bit-identical either way.
-    ///
-    /// [`FaultInstance`]: faultnet_faultmodel::FaultInstance
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`ComplexityHarness::measure_batched`].
+    /// [`ComplexityHarness::measure`] on `threads` workers with
+    /// `trial_batch` lanes per chunk.
     #[allow(clippy::too_many_arguments)]
     pub fn measure_batched_with_model<M, R>(
         &self,
@@ -705,71 +421,62 @@ impl<T: Topology> ComplexityHarness<T> {
     where
         T: Sync,
         M: FaultModel + Sync + ?Sized,
-        R: Router<T, faultnet_faultmodel::FaultInstance>
-            + for<'b, 'g> Router<T, LaneView<'b, 'g, T>>
-            + Sync,
+        R: Router<T, FaultInstance> + for<'b, 'g> Router<T, LaneView<'b, 'g, T>> + Sync,
     {
-        assert!(threads > 0, "at least one thread is required");
-        assert!(
-            trial_batch > 0,
-            "trial_batch 0 means 'off'; use measure/measure_parallel"
-        );
-        if !model.lane_batchable() {
-            faultnet_faultmodel::warn_scalar_fallback(&model.name());
-            return self.measure_parallel_with_model(model, router, u, v, trials, threads);
-        }
-        if !TrialBatch::supported(&self.graph) {
-            return self.measure_parallel_with_model(model, router, u, v, trials, threads);
-        }
-        let name = Router::<T, faultnet_faultmodel::FaultInstance>::name(router);
-        let placement = model.pair_placement(&self.graph, (u, v));
-        let lanes_per_chunk = clamp_lanes(trial_batch);
-        let starts: Vec<u32> = (0..trials).step_by(lanes_per_chunk).collect();
-        let run_chunk = |t0: u32| -> Vec<Option<TrialResult>> {
-            let lanes = lanes_per_chunk.min((trials - t0) as usize);
-            let instances: Vec<faultnet_faultmodel::FaultInstance> = (0..lanes)
-                .map(|l| {
-                    let seed = self
-                        .config
-                        .seed()
-                        .wrapping_add(t0 as u64)
-                        .wrapping_add(l as u64);
-                    model.instance_from_placement(
-                        &placement,
-                        &self.graph,
-                        self.config.with_seed(seed),
-                        (u, v),
-                    )
-                })
-                .collect();
-            let batch = TrialBatch::from_lane_states(&self.graph, &instances);
-            let conditioned = batch.connected_lanes(u, v);
-            (0..lanes)
-                .map(|l| {
-                    if conditioned >> l & 1 == 1 {
-                        Some(self.classify_trial(router, &batch.lane_view(l), u, v))
-                    } else {
-                        faultnet_obs::count("routing.trials.rejected", 1);
-                        None
-                    }
-                })
-                .collect()
-        };
-        let threads = threads.min(starts.len().max(1));
-        let per_chunk: Vec<Vec<Option<TrialResult>>> = if threads <= 1 {
-            starts.iter().map(|&t0| run_chunk(t0)).collect()
+        let exec = TrialExec::sequential()
+            .with_threads(threads)
+            .with_trial_batch(trial_batch);
+        self.measure(model, router, u, v, trials, exec)
+    }
+}
+
+/// The Definition 2 trial: condition on `{u ∼ v}`, then route and classify.
+struct Conditioned<'a, T, R> {
+    harness: &'a ComplexityHarness<T>,
+    router: &'a R,
+    u: VertexId,
+    v: VertexId,
+    census_threads: usize,
+}
+
+impl<T, R> TrialVisitor<T> for Conditioned<'_, T, R>
+where
+    T: Topology + Sync,
+    R: Router<T, FaultInstance> + for<'b, 'g> Router<T, LaneView<'b, 'g, T>> + Sync,
+{
+    type Output = Option<TrialResult>;
+
+    fn instance(&self, instance: &FaultInstance) -> Option<TrialResult> {
+        let (graph, u, v) = (&self.harness.graph, self.u, self.v);
+        let conditioned = if self.census_threads <= 1 {
+            connected(graph, instance, u, v)
         } else {
-            Sweep::over(starts)
-                .run_parallel(threads, |&t0| run_chunk(t0))
-                .into_iter()
-                .map(|point| point.value)
-                .collect()
+            ComponentCensus::compute_parallel(graph, instance, self.census_threads)
+                .same_component(u, v)
         };
-        let mut stats = ComplexityStats::empty(name, trials);
-        for result in per_chunk.into_iter().flatten().flatten() {
-            stats.record(result);
+        if !conditioned {
+            faultnet_obs::count("routing.trials.rejected", 1);
+            return None;
         }
-        stats
+        Some(self.harness.classify_trial(self.router, instance, u, v))
+    }
+
+    fn batch(&self, batch: &TrialBatch<'_, T>) -> Vec<Option<TrialResult>> {
+        let conditioned = batch.connected_lanes(self.u, self.v);
+        (0..batch.lanes())
+            .map(|l| {
+                if conditioned >> l & 1 == 1 {
+                    let lane = batch.lane_view(l);
+                    Some(
+                        self.harness
+                            .classify_trial(self.router, &lane, self.u, self.v),
+                    )
+                } else {
+                    faultnet_obs::count("routing.trials.rejected", 1);
+                    None
+                }
+            })
+            .collect()
     }
 }
 
@@ -779,15 +486,32 @@ mod tests {
     use crate::bfs::FloodRouter;
     use crate::gnp::{BidirectionalGrowthRouter, IncrementalLocalRouter};
     use crate::hypercube::GreedyHypercubeRouter;
+    use faultnet_faultmodel::{AdversarialBudget, BernoulliEdges, BernoulliNodes, FaultModelSpec};
     use faultnet_topology::complete::CompleteGraph;
     use faultnet_topology::hypercube::Hypercube;
+
+    fn exec(threads: usize, census_threads: usize, trial_batch: usize) -> TrialExec {
+        TrialExec::sequential()
+            .with_threads(threads)
+            .with_census_threads(census_threads)
+            .with_trial_batch(trial_batch)
+    }
+
+    /// The paper's edge faults, measured sequentially.
+    fn bernoulli<T, R>(harness: &ComplexityHarness<T>, router: &R, trials: u32) -> ComplexityStats
+    where
+        T: Topology + Sync,
+        R: Router<T, FaultInstance> + for<'b, 'g> Router<T, LaneView<'b, 'g, T>> + Sync,
+    {
+        let (u, v) = harness.graph().canonical_pair();
+        harness.measure_with_model(&BernoulliEdges::new(), router, u, v, trials)
+    }
 
     #[test]
     fn flood_router_never_fails_under_conditioning() {
         let cube = Hypercube::new(8);
         let harness = ComplexityHarness::new(cube, PercolationConfig::new(0.4, 11));
-        let (u, v) = cube.canonical_pair();
-        let stats = harness.measure(&FloodRouter::new(), u, v, 20);
+        let stats = bernoulli(&harness, &FloodRouter::new(), 20);
         assert_eq!(stats.attempted_trials(), 20);
         assert!(stats.conditioned_trials() > 0);
         assert_eq!(stats.successes(), stats.conditioned_trials());
@@ -805,8 +529,7 @@ mod tests {
         // Strict greedy strands regularly at p = 0.4 on the 9-cube.
         let cube = Hypercube::new(9);
         let harness = ComplexityHarness::new(cube, PercolationConfig::new(0.4, 3));
-        let (u, v) = cube.canonical_pair();
-        let stats = harness.measure(&GreedyHypercubeRouter::strict(), u, v, 30);
+        let stats = bernoulli(&harness, &GreedyHypercubeRouter::strict(), 30);
         assert_eq!(
             stats.successes() + stats.give_ups(),
             stats.conditioned_trials()
@@ -820,8 +543,7 @@ mod tests {
         let cube = Hypercube::new(8);
         let harness =
             ComplexityHarness::new(cube, PercolationConfig::new(0.5, 5)).with_probe_budget(3);
-        let (u, v) = cube.canonical_pair();
-        let stats = harness.measure(&FloodRouter::new(), u, v, 10);
+        let stats = bernoulli(&harness, &FloodRouter::new(), 10);
         assert!(stats.budget_exhaustions() > 0);
         assert_eq!(stats.successes(), 0);
     }
@@ -831,9 +553,8 @@ mod tests {
         let cube = Hypercube::new(8);
         let harness_high = ComplexityHarness::new(cube, PercolationConfig::new(0.9, 1));
         let harness_low = ComplexityHarness::new(cube, PercolationConfig::new(0.05, 1));
-        let (u, v) = cube.canonical_pair();
-        let high = harness_high.measure(&FloodRouter::new(), u, v, 20);
-        let low = harness_low.measure(&FloodRouter::new(), u, v, 20);
+        let high = bernoulli(&harness_high, &FloodRouter::new(), 20);
+        let low = bernoulli(&harness_low, &FloodRouter::new(), 20);
         assert!(high.connectivity_rate() > low.connectivity_rate());
         assert_eq!(low.conditioned_trials(), 0);
         assert_eq!(low.success_rate(), 0.0);
@@ -844,12 +565,14 @@ mod tests {
     #[test]
     fn parallel_measure_is_bit_identical_to_sequential() {
         let cube = Hypercube::new(8);
+        let (u, v) = cube.canonical_pair();
+        let model = BernoulliEdges::new();
         for seed in [1u64, 7, 42] {
             let harness = ComplexityHarness::new(cube, PercolationConfig::new(0.45, seed));
-            let (u, v) = cube.canonical_pair();
-            let sequential = harness.measure(&FloodRouter::new(), u, v, 16);
+            let sequential = bernoulli(&harness, &FloodRouter::new(), 16);
             for threads in [1usize, 2, 3, 8, 32] {
-                let parallel = harness.measure_parallel(&FloodRouter::new(), u, v, 16, threads);
+                let parallel =
+                    harness.measure(&model, &FloodRouter::new(), u, v, 16, exec(threads, 1, 0));
                 assert_eq!(sequential, parallel, "seed {seed}, threads {threads}");
             }
         }
@@ -861,8 +584,15 @@ mod tests {
         let harness =
             ComplexityHarness::new(cube, PercolationConfig::new(0.5, 5)).with_probe_budget(3);
         let (u, v) = cube.canonical_pair();
-        let sequential = harness.measure(&FloodRouter::new(), u, v, 10);
-        let parallel = harness.measure_parallel(&FloodRouter::new(), u, v, 10, 4);
+        let sequential = bernoulli(&harness, &FloodRouter::new(), 10);
+        let parallel = harness.measure(
+            &BernoulliEdges::new(),
+            &FloodRouter::new(),
+            u,
+            v,
+            10,
+            exec(4, 1, 0),
+        );
         assert_eq!(sequential, parallel);
         assert!(parallel.budget_exhaustions() > 0);
     }
@@ -873,7 +603,11 @@ mod tests {
         let cube = Hypercube::new(4);
         let harness = ComplexityHarness::new(cube, PercolationConfig::new(0.5, 1));
         let (u, v) = cube.canonical_pair();
-        let _ = harness.measure_parallel(&FloodRouter::new(), u, v, 4, 0);
+        let exec = TrialExec {
+            threads: 0,
+            ..TrialExec::sequential()
+        };
+        let _ = harness.measure(&BernoulliEdges::new(), &FloodRouter::new(), u, v, 4, exec);
     }
 
     #[test]
@@ -881,31 +615,47 @@ mod tests {
         let cube = Hypercube::new(4);
         let harness = ComplexityHarness::new(cube, PercolationConfig::new(0.5, 1));
         let (u, v) = cube.canonical_pair();
-        let stats = harness.measure_parallel(&FloodRouter::new(), u, v, 0, 4);
+        let stats = harness.measure(
+            &BernoulliEdges::new(),
+            &FloodRouter::new(),
+            u,
+            v,
+            0,
+            exec(4, 1, 0),
+        );
         assert_eq!(stats.attempted_trials(), 0);
         assert_eq!(stats.conditioned_trials(), 0);
     }
 
     #[test]
     fn bernoulli_edges_model_reproduces_the_legacy_measurement_exactly() {
-        use faultnet_faultmodel::BernoulliEdges;
         // The paper's model through the FaultModel path must be
-        // indistinguishable from the pre-fault-model harness: same
-        // conditioning decisions, same probe counts, same buckets.
+        // indistinguishable from conditioning and routing directly on the
+        // lazy edge sampler: same conditioning decisions, same probe
+        // counts, same buckets.
         let cube = Hypercube::new(8);
+        let (u, v) = cube.canonical_pair();
+        let router = FloodRouter::new();
         for (p, seed) in [(0.4, 11u64), (0.55, 3), (0.9, 42)] {
             let harness = ComplexityHarness::new(cube, PercolationConfig::new(p, seed));
-            let (u, v) = cube.canonical_pair();
-            let legacy = harness.measure(&FloodRouter::new(), u, v, 16);
-            let through_model =
-                harness.measure_with_model(&BernoulliEdges::new(), &FloodRouter::new(), u, v, 16);
-            assert_eq!(legacy, through_model, "p = {p}, seed = {seed}");
+            let mut legacy =
+                ComplexityStats::empty(Router::<Hypercube, FaultInstance>::name(&router), 16);
+            for t in 0..16u64 {
+                let sampler = harness.config().with_seed(seed + t).sampler();
+                if connected(&cube, &sampler, u, v) {
+                    legacy.record(harness.classify_trial(&router, &sampler, u, v));
+                }
+            }
+            assert_eq!(
+                legacy,
+                bernoulli(&harness, &router, 16),
+                "p = {p}, seed = {seed}"
+            );
         }
     }
 
     #[test]
     fn every_fault_model_measures_bit_identically_across_thread_counts() {
-        use faultnet_faultmodel::FaultModelSpec;
         // The acceptance criterion of the fault-model subsystem: for every
         // model, the parallel merge is bit-identical to the sequential fold.
         let cube = Hypercube::new(7);
@@ -919,14 +669,8 @@ mod tests {
                 "{spec}: no conditioned trials — the determinism check would be vacuous"
             );
             for threads in [1usize, 2, 4] {
-                let parallel = harness.measure_parallel_with_model(
-                    &model,
-                    &FloodRouter::new(),
-                    u,
-                    v,
-                    12,
-                    threads,
-                );
+                let parallel =
+                    harness.measure(&model, &FloodRouter::new(), u, v, 12, exec(threads, 1, 0));
                 assert_eq!(sequential, parallel, "{spec} diverged at threads {threads}");
             }
         }
@@ -934,7 +678,6 @@ mod tests {
 
     #[test]
     fn node_faults_lower_connectivity_below_edge_faults() {
-        use faultnet_faultmodel::{BernoulliEdges, BernoulliNodes};
         // At equal p, node faults are strictly harsher than edge faults on
         // the conditioning event: the routed pair itself must survive.
         let cube = Hypercube::new(8);
@@ -956,7 +699,6 @@ mod tests {
 
     #[test]
     fn adversary_with_full_degree_budget_defeats_conditioning() {
-        use faultnet_faultmodel::AdversarialBudget;
         let cube = Hypercube::new(6);
         let harness = ComplexityHarness::new(cube, PercolationConfig::new(1.0, 2));
         let (u, v) = cube.canonical_pair();
@@ -975,72 +717,63 @@ mod tests {
 
     #[test]
     fn census_conditioning_is_bit_identical_to_bfs_conditioning() {
-        // The census_threads knob swaps the conditioning check from BFS to
-        // the parallel census; both decide exactly the same connectivity
-        // event, so measurements must not move by a bit — for the Bernoulli
-        // path and for every fault model.
-        use faultnet_faultmodel::FaultModelSpec;
+        // census_threads > 1 swaps the single-instance conditioning check
+        // from BFS to the parallel census; both decide exactly the same
+        // connectivity event, so measurements must not move by a bit — for
+        // the paper's model and for every fault model, sequential or
+        // parallel.
         let cube = Hypercube::new(8);
-        let baseline = ComplexityHarness::new(cube, PercolationConfig::new(0.45, 9));
+        let harness = ComplexityHarness::new(cube, PercolationConfig::new(0.45, 9));
         let (u, v) = cube.canonical_pair();
-        let bfs = baseline.measure(&FloodRouter::new(), u, v, 14);
-        assert!(bfs.conditioned_trials() > 0, "vacuous check");
-        for census_threads in [2usize, 4] {
-            let censused = baseline.clone().with_census_threads(census_threads);
-            assert_eq!(
-                bfs,
-                censused.measure(&FloodRouter::new(), u, v, 14),
-                "census_threads {census_threads} (sequential measure)"
-            );
-            assert_eq!(
-                bfs,
-                censused.measure_parallel(&FloodRouter::new(), u, v, 14, 2),
-                "census_threads {census_threads} (parallel measure)"
-            );
-        }
         for spec in FaultModelSpec::ALL {
             let model = spec.build();
-            let bfs = baseline.measure_with_model(&model, &FloodRouter::new(), u, v, 10);
-            let censused = baseline.clone().with_census_threads(4);
-            assert_eq!(
-                bfs,
-                censused.measure_with_model(&model, &FloodRouter::new(), u, v, 10),
-                "{spec} diverged under census conditioning"
-            );
+            let bfs = harness.measure_with_model(&model, &FloodRouter::new(), u, v, 14);
+            assert!(bfs.conditioned_trials() > 0, "{spec}: vacuous check");
+            for census_threads in [2usize, 4] {
+                for threads in [1usize, 2] {
+                    let censused = harness.measure(
+                        &model,
+                        &FloodRouter::new(),
+                        u,
+                        v,
+                        14,
+                        exec(threads, census_threads, 0),
+                    );
+                    assert_eq!(
+                        bfs, censused,
+                        "{spec}: census_threads {census_threads}, threads {threads}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn cached_adversary_placement_is_byte_identical_to_per_trial_recomputation() {
-        // measure_with_model hoists the adversary's greedy placement once
-        // per measurement; the uncached path recomputes it inside every
-        // run_trial_with_model call. The two must agree byte for byte.
-        use faultnet_faultmodel::AdversarialBudget;
+        // The trial loop hoists the adversary's greedy placement once per
+        // measurement; the uncached oracle asks the model for a fresh
+        // instance in every trial. The two must agree byte for byte, on
+        // one thread and on several.
         let cube = Hypercube::new(7);
         let harness = ComplexityHarness::new(cube, PercolationConfig::new(0.75, 13));
         let (u, v) = cube.canonical_pair();
         let model = AdversarialBudget::new(3);
-        let trials = 12;
-        let cached = harness.measure_with_model(&model, &FloodRouter::new(), u, v, trials);
         let router = FloodRouter::new();
-        let mut uncached = ComplexityStats::empty(
-            Router::<Hypercube, faultnet_faultmodel::FaultInstance>::name(&router),
-            trials,
-        );
+        let trials = 12;
+        let mut uncached =
+            ComplexityStats::empty(Router::<Hypercube, FaultInstance>::name(&router), trials);
         for t in 0..trials {
             let seed = harness.config().seed().wrapping_add(t as u64);
-            if let Some(result) =
-                harness.run_trial_with_model(&model, &FloodRouter::new(), u, v, seed)
-            {
-                uncached.record(result);
+            let instance = model.instance(&cube, harness.config().with_seed(seed), Some((u, v)));
+            if connected(&cube, &instance, u, v) {
+                uncached.record(harness.classify_trial(&router, &instance, u, v));
             }
         }
-        assert_eq!(cached, uncached);
-        assert!(cached.conditioned_trials() > 0, "vacuous comparison");
-        // And the parallel path shares the same hoisted placement.
-        let parallel =
-            harness.measure_parallel_with_model(&model, &FloodRouter::new(), u, v, trials, 3);
-        assert_eq!(cached, parallel);
+        assert!(uncached.conditioned_trials() > 0, "vacuous comparison");
+        for threads in [1usize, 3] {
+            let cached = harness.measure(&model, &router, u, v, trials, exec(threads, 1, 0));
+            assert_eq!(cached, uncached, "threads {threads}");
+        }
     }
 
     #[test]
@@ -1049,20 +782,20 @@ mod tests {
         // unit test pins the contract on one family, including the ragged
         // tail (14 % 4 != 0) and single-lane batches.
         let cube = Hypercube::new(8);
+        let (u, v) = cube.canonical_pair();
         for seed in [1u64, 42] {
             let harness = ComplexityHarness::new(cube, PercolationConfig::new(0.45, seed));
-            let (u, v) = cube.canonical_pair();
-            let scalar = harness.measure(&FloodRouter::new(), u, v, 14);
+            let scalar = bernoulli(&harness, &FloodRouter::new(), 14);
             assert!(scalar.conditioned_trials() > 0, "vacuous check");
             for trial_batch in [1usize, 4, 64, 200] {
                 for threads in [1usize, 3] {
-                    let batched = harness.measure_batched(
+                    let batched = harness.measure(
+                        &BernoulliEdges::new(),
                         &FloodRouter::new(),
                         u,
                         v,
                         14,
-                        trial_batch,
-                        threads,
+                        exec(threads, 1, trial_batch),
                     );
                     assert_eq!(
                         scalar, batched,
@@ -1079,8 +812,16 @@ mod tests {
         let harness =
             ComplexityHarness::new(cube, PercolationConfig::new(0.5, 5)).with_probe_budget(3);
         let (u, v) = cube.canonical_pair();
-        let scalar = harness.measure(&FloodRouter::new(), u, v, 10);
-        let batched = harness.measure_batched(&FloodRouter::new(), u, v, 10, 64, 2);
+        let scalar = bernoulli(&harness, &FloodRouter::new(), 10);
+        let batched = harness.measure_batched_with_model(
+            &BernoulliEdges::new(),
+            &FloodRouter::new(),
+            u,
+            v,
+            10,
+            64,
+            2,
+        );
         assert_eq!(scalar, batched);
         assert!(batched.budget_exhaustions() > 0);
     }
@@ -1090,26 +831,23 @@ mod tests {
         let cube = Hypercube::new(4);
         let harness = ComplexityHarness::new(cube, PercolationConfig::new(0.5, 1));
         let (u, v) = cube.canonical_pair();
-        let stats = harness.measure_batched(&FloodRouter::new(), u, v, 0, 64, 4);
+        let stats = harness.measure(
+            &BernoulliEdges::new(),
+            &FloodRouter::new(),
+            u,
+            v,
+            0,
+            exec(4, 1, 64),
+        );
         assert_eq!(stats.attempted_trials(), 0);
         assert_eq!(stats.conditioned_trials(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "trial_batch 0")]
-    fn batched_measure_rejects_zero_batch() {
-        let cube = Hypercube::new(4);
-        let harness = ComplexityHarness::new(cube, PercolationConfig::new(0.5, 1));
-        let (u, v) = cube.canonical_pair();
-        let _ = harness.measure_batched(&FloodRouter::new(), u, v, 4, 0, 1);
-    }
-
-    #[test]
     fn every_fault_model_measures_bit_identically_batched() {
         // Benign models ride the multispin store; the adversary declares
-        // itself non-batchable and falls back to the scalar engine. Either
+        // itself non-batchable and falls back to the scalar store. Either
         // way the statistics must not move by a bit.
-        use faultnet_faultmodel::FaultModelSpec;
         let cube = Hypercube::new(7);
         let harness = ComplexityHarness::new(cube, PercolationConfig::new(0.7, 5));
         let (u, v) = cube.canonical_pair();
@@ -1118,14 +856,13 @@ mod tests {
             let scalar = harness.measure_with_model(&model, &FloodRouter::new(), u, v, 12);
             assert!(scalar.conditioned_trials() > 0, "{spec}: vacuous check");
             for trial_batch in [1usize, 5, 64] {
-                let batched = harness.measure_batched_with_model(
+                let batched = harness.measure(
                     &model,
                     &FloodRouter::new(),
                     u,
                     v,
                     12,
-                    trial_batch,
-                    2,
+                    exec(2, 1, trial_batch),
                 );
                 assert_eq!(
                     scalar, batched,
@@ -1140,9 +877,8 @@ mod tests {
         let k = CompleteGraph::new(80);
         let p = 2.5 / 80.0;
         let harness = ComplexityHarness::new(k, PercolationConfig::new(p, 17));
-        let (u, v) = k.canonical_pair();
-        let local = harness.measure(&IncrementalLocalRouter::new(), u, v, 15);
-        let oracle = harness.measure(&BidirectionalGrowthRouter::new(), u, v, 15);
+        let local = bernoulli(&harness, &IncrementalLocalRouter::new(), 15);
+        let oracle = bernoulli(&harness, &BidirectionalGrowthRouter::new(), 15);
         assert_eq!(local.success_rate(), 1.0);
         assert_eq!(oracle.success_rate(), 1.0);
         assert!(oracle.mean_probes() < local.mean_probes());

@@ -6,6 +6,7 @@
 //! endpoints, and complete routers succeed exactly when the conditioning
 //! event `{u ∼ v}` holds.
 
+use faultnet_faultmodel::{trials::TrialExec, BernoulliEdges};
 use faultnet_percolation::bfs::connected;
 use faultnet_percolation::sample::{BitsetSample, SampleBackend};
 use faultnet_percolation::PercolationConfig;
@@ -171,8 +172,10 @@ proptest! {
         let cube = Hypercube::new(7);
         let (u, v) = cube.canonical_pair();
         let harness = ComplexityHarness::new(cube, PercolationConfig::new(p, seed));
-        let sequential = harness.measure(&FloodRouter::new(), u, v, trials);
-        let parallel = harness.measure_parallel(&FloodRouter::new(), u, v, trials, threads);
+        let model = BernoulliEdges::new();
+        let sequential = harness.measure_with_model(&model, &FloodRouter::new(), u, v, trials);
+        let exec = TrialExec::sequential().with_threads(threads);
+        let parallel = harness.measure(&model, &FloodRouter::new(), u, v, trials, exec);
         prop_assert_eq!(sequential, parallel);
     }
 
@@ -184,8 +187,10 @@ proptest! {
         let harness = ComplexityHarness::new(cube, PercolationConfig::new(0.4, seed))
             .with_probe_budget(500);
         let router = SegmentRouter::default();
-        let sequential = harness.measure(&router, u, v, 10);
-        let parallel = harness.measure_parallel(&router, u, v, 10, threads);
+        let model = BernoulliEdges::new();
+        let sequential = harness.measure_with_model(&model, &router, u, v, 10);
+        let exec = TrialExec::sequential().with_threads(threads);
+        let parallel = harness.measure(&model, &router, u, v, 10, exec);
         prop_assert_eq!(sequential, parallel);
     }
 }

@@ -1,95 +1,166 @@
-//! Differential suite for the trial-batched complexity harness.
+//! Differential suite for the one trial loop behind the complexity harness.
 //!
-//! The contract under test: [`ComplexityHarness::measure_batched`] and
-//! [`ComplexityHarness::measure_batched_with_model`] return a
+//! The contract under test: for every [`TrialExec`],
+//! [`ComplexityHarness::measure`] returns a
 //! [`faultnet_routing::complexity::ComplexityStats`] **equal** (derived
 //! `Eq` — every counter, every probe count, the router name) to the
-//! sequential scalar measurement, for every router × fault model × thread
-//! count × batch size combination. Probe counts are folded in trial order
-//! on both paths, so even the probe-count *vector* must match element for
+//! sequential scalar oracle [`ComplexityHarness::measure_with_model`], for
+//! every router × fault model × graph × thread count × census thread count
+//! × batch size combination. Probe counts are folded in trial order on
+//! every path, so even the probe-count *vector* must match element for
 //! element — the strongest equality the type can express.
 
-use faultnet_faultmodel::FaultModelSpec;
+use faultnet_faultmodel::trials::TrialExec;
+use faultnet_faultmodel::{FaultInstance, FaultModel, FaultModelSpec};
 use faultnet_percolation::trial_batch::LaneView;
-use faultnet_percolation::{EdgeSampler, PercolationConfig};
+use faultnet_percolation::PercolationConfig;
 use faultnet_routing::bfs::FloodRouter;
-use faultnet_routing::complexity::{ComplexityHarness, ComplexityStats};
+use faultnet_routing::complexity::ComplexityHarness;
 use faultnet_routing::hypercube::SegmentRouter;
 use faultnet_routing::mesh::MeshLandmarkRouter;
 use faultnet_routing::router::Router;
 use faultnet_topology::hypercube::Hypercube;
+use faultnet_topology::load::karate_club;
 use faultnet_topology::mesh::Mesh;
+use faultnet_topology::torus::Torus;
 use faultnet_topology::Topology;
 use proptest::prelude::*;
 
-/// The batch sizes the tentpole contract names.
+/// The batch sizes the exhaustive grid walks: a single lane, both sides of
+/// the word boundary, and a request past the 64-lane cap.
 const BATCH_SIZES: [usize; 5] = [1, 63, 64, 65, 200];
 
-/// The thread counts the tentpole contract names.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+/// Every combination of the wall-clock knobs the equivalence grid walks.
+fn exec_grid(trial_batches: &[usize]) -> Vec<TrialExec> {
+    let mut grid = Vec::new();
+    for threads in [1, 2, 3] {
+        for census_threads in [1, 2] {
+            for &trial_batch in trial_batches {
+                grid.push(
+                    TrialExec::sequential()
+                        .with_threads(threads)
+                        .with_census_threads(census_threads)
+                        .with_trial_batch(trial_batch),
+                );
+            }
+        }
+    }
+    grid
+}
 
-/// Measures sequentially, then across the full batch-size × thread-count
-/// grid on the batched engine, asserting `ComplexityStats` equality.
-fn assert_batched_measure_identical<T, R>(
+/// Asserts `measure` == the sequential oracle for `model` across `grid`.
+fn assert_matches_oracle<T, M, R>(
     harness: &ComplexityHarness<T>,
+    model: &M,
     router: &R,
     trials: u32,
-    batch_sizes: &[usize],
+    grid: &[TrialExec],
     context: &str,
 ) where
     T: Topology + Sync,
-    R: Router<T, EdgeSampler> + for<'b, 'g> Router<T, LaneView<'b, 'g, T>> + Sync,
+    M: FaultModel + Sync + ?Sized,
+    R: Router<T, FaultInstance> + for<'b, 'g> Router<T, LaneView<'b, 'g, T>> + Sync,
 {
     let (u, v) = harness.graph().canonical_pair();
-    let scalar: ComplexityStats = harness.measure(router, u, v, trials);
-    for &trial_batch in batch_sizes {
-        for threads in THREAD_COUNTS {
-            let batched = harness.measure_batched(router, u, v, trials, trial_batch, threads);
-            assert_eq!(
-                scalar, batched,
-                "{context}: batch {trial_batch}, threads {threads}"
+    let oracle = harness.measure_with_model(model, router, u, v, trials);
+    assert_eq!(oracle.attempted_trials(), trials, "{context}");
+    for &exec in grid {
+        let measured = harness.measure(model, router, u, v, trials, exec);
+        assert_eq!(oracle, measured, "{context}: {exec:?}");
+    }
+}
+
+/// The tentpole grid: all four fault models on a hypercube, a mesh, a torus
+/// and the loaded karate-club graph, across threads {1,2,3} × census
+/// threads {1,2} × trial batch {0,1,5,64}, with a ragged last chunk (13
+/// trials in chunks of 5) and zero trials.
+#[test]
+fn measure_equals_the_oracle_over_the_exec_grid() {
+    let grid = exec_grid(&[0, 1, 5, 64]);
+    let karate = karate_club().graph;
+    for spec in FaultModelSpec::ALL {
+        let model = spec.build();
+        for trials in [13, 0] {
+            let context = |graph: &str| format!("{spec} on {graph}, {trials} trials");
+            let config = PercolationConfig::new(0.7, 29);
+            assert_matches_oracle(
+                &ComplexityHarness::new(Hypercube::new(6), config),
+                &model,
+                &FloodRouter::new(),
+                trials,
+                &grid,
+                &context("H_6"),
+            );
+            assert_matches_oracle(
+                &ComplexityHarness::new(Mesh::new(2, 6), config),
+                &model,
+                &FloodRouter::new(),
+                trials,
+                &grid,
+                &context("6×6 mesh"),
+            );
+            assert_matches_oracle(
+                &ComplexityHarness::new(Torus::new(2, 5), config),
+                &model,
+                &FloodRouter::new(),
+                trials,
+                &grid,
+                &context("5×5 torus"),
+            );
+            assert_matches_oracle(
+                &ComplexityHarness::new(karate.clone(), config),
+                &model,
+                &FloodRouter::new(),
+                trials,
+                &grid,
+                &context("karate"),
             );
         }
     }
 }
 
 proptest! {
-    // Every case runs a full batch × thread grid; keep the case count low
-    // (the exhaustive grid is the #[ignore] test below).
+    // Every case runs a full exec grid; keep the case count low (the
+    // exhaustive grid is the #[ignore] test below).
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Benign measurement: the complete flood router and the paper's
     /// Theorem 3 segment router on the hypercube, and the Theorem 4
     /// landmark router on the mesh, all land on identical stats through
-    /// the multispin substrate.
+    /// every store.
     #[test]
     fn batched_measure_equals_scalar_for_every_router(
         p in 0.3f64..0.9,
         seed in any::<u64>(),
     ) {
+        let grid = exec_grid(&[0, 1, 64]);
+        let model = FaultModelSpec::BernoulliEdges.build();
         let cube_harness =
             ComplexityHarness::new(Hypercube::new(6), PercolationConfig::new(p, seed));
-        assert_batched_measure_identical(
+        assert_matches_oracle(
             &cube_harness,
+            &model,
             &FloodRouter::new(),
             13,
-            &[1, 64],
+            &grid,
             &format!("flood on H_6, p {p}, seed {seed}"),
         );
-        assert_batched_measure_identical(
+        assert_matches_oracle(
             &cube_harness,
+            &model,
             &SegmentRouter::default(),
             13,
-            &[1, 64],
+            &grid,
             &format!("segment on H_6, p {p}, seed {seed}"),
         );
         let mesh_harness =
             ComplexityHarness::new(Mesh::new(2, 6), PercolationConfig::new(p, seed));
-        assert_batched_measure_identical(
+        assert_matches_oracle(
             &mesh_harness,
+            &model,
             &MeshLandmarkRouter::new(),
             13,
-            &[1, 64],
+            &grid,
             &format!("landmark on 6×6 mesh, p {p}, seed {seed}"),
         );
     }
@@ -102,22 +173,16 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let harness = ComplexityHarness::new(Mesh::new(2, 5), PercolationConfig::new(p, seed));
-        let (u, v) = harness.graph().canonical_pair();
-        let router = MeshLandmarkRouter::new();
+        let grid = exec_grid(&[0, 1, 64]);
         for spec in FaultModelSpec::ALL {
-            let model = spec.build();
-            let scalar = harness.measure_with_model(&model, &router, u, v, 9);
-            for trial_batch in [1usize, 64] {
-                for threads in [1usize, 2] {
-                    let batched = harness.measure_batched_with_model(
-                        &model, &router, u, v, 9, trial_batch, threads,
-                    );
-                    prop_assert_eq!(
-                        &scalar, &batched,
-                        "{}: batch {}, threads {}", spec, trial_batch, threads
-                    );
-                }
-            }
+            assert_matches_oracle(
+                &harness,
+                &spec.build(),
+                &MeshLandmarkRouter::new(),
+                9,
+                &grid,
+                &format!("{spec}, p {p}, seed {seed}"),
+            );
         }
     }
 }
@@ -127,14 +192,18 @@ proptest! {
 #[test]
 fn ragged_tail_trials_are_neither_dropped_nor_duplicated() {
     let harness = ComplexityHarness::new(Hypercube::new(5), PercolationConfig::new(0.6, 23));
-    let (u, v) = harness.graph().canonical_pair();
-    let router = FloodRouter::new();
-    let scalar = harness.measure(&router, u, v, 65);
-    assert_eq!(scalar.attempted_trials(), 65);
-    for trial_batch in BATCH_SIZES {
-        let batched = harness.measure_batched(&router, u, v, 65, trial_batch, 2);
-        assert_eq!(scalar, batched, "batch {trial_batch}");
-    }
+    let grid: Vec<TrialExec> = BATCH_SIZES
+        .iter()
+        .map(|&b| TrialExec::sequential().with_threads(2).with_trial_batch(b))
+        .collect();
+    assert_matches_oracle(
+        &harness,
+        &FaultModelSpec::BernoulliEdges.build(),
+        &FloodRouter::new(),
+        65,
+        &grid,
+        "flood on H_5, 65 trials",
+    );
 }
 
 /// The exhaustive router × model × thread × batch grid the proptest caps
@@ -142,53 +211,38 @@ fn ragged_tail_trials_are_neither_dropped_nor_duplicated() {
 #[test]
 #[ignore = "exhaustive cross-product; run via cargo test -- --ignored (CI exhaustive job)"]
 fn exhaustive_router_model_thread_batch_grid() {
+    let grid = exec_grid(&BATCH_SIZES);
     for &(p, seed) in &[(0.45, 3u64), (0.7, 11), (0.9, 19)] {
         let cube_harness =
             ComplexityHarness::new(Hypercube::new(6), PercolationConfig::new(p, seed));
-        assert_batched_measure_identical(
-            &cube_harness,
-            &FloodRouter::new(),
-            40,
-            &BATCH_SIZES,
-            &format!("flood on H_6, p {p}, seed {seed}"),
-        );
-        assert_batched_measure_identical(
-            &cube_harness,
-            &SegmentRouter::default(),
-            40,
-            &BATCH_SIZES,
-            &format!("segment on H_6, p {p}, seed {seed}"),
-        );
         let mesh_harness = ComplexityHarness::new(Mesh::new(2, 8), PercolationConfig::new(p, seed));
-        let (u, v) = mesh_harness.graph().canonical_pair();
-        let router = MeshLandmarkRouter::new();
-        assert_batched_measure_identical(
-            &mesh_harness,
-            &router,
-            40,
-            &BATCH_SIZES,
-            &format!("landmark on 8×8 mesh, p {p}, seed {seed}"),
-        );
         for spec in FaultModelSpec::ALL {
             let model = spec.build();
-            let scalar = mesh_harness.measure_with_model(&model, &router, u, v, 40);
-            for trial_batch in BATCH_SIZES {
-                for threads in THREAD_COUNTS {
-                    let batched = mesh_harness.measure_batched_with_model(
-                        &model,
-                        &router,
-                        u,
-                        v,
-                        40,
-                        trial_batch,
-                        threads,
-                    );
-                    assert_eq!(
-                        scalar, batched,
-                        "{spec}: p {p}, seed {seed}, batch {trial_batch}, threads {threads}"
-                    );
-                }
-            }
+            let context = format!("{spec}: p {p}, seed {seed}");
+            assert_matches_oracle(
+                &cube_harness,
+                &model,
+                &FloodRouter::new(),
+                40,
+                &grid,
+                &context,
+            );
+            assert_matches_oracle(
+                &cube_harness,
+                &model,
+                &SegmentRouter::default(),
+                40,
+                &grid,
+                &context,
+            );
+            assert_matches_oracle(
+                &mesh_harness,
+                &model,
+                &MeshLandmarkRouter::new(),
+                40,
+                &grid,
+                &context,
+            );
         }
     }
 }

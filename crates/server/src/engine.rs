@@ -2,7 +2,7 @@
 //! body by driving the workspace's existing harnesses.
 //!
 //! Nothing here measures anything new. The probes metric is
-//! [`ComplexityHarness::measure_batched_with_model`] — the same engine the
+//! [`ComplexityHarness::measure`] — the same trial loop the
 //! experiment binaries run, batched 64 trials per word where the model and
 //! family allow and bit-identical to the scalar path where they don't —
 //! and the connectivity metric is one [`FaultModel::instance`] plus one
@@ -16,7 +16,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use faultnet_faultmodel::FaultInstance;
+use faultnet_faultmodel::{FaultInstance, TrialExec};
 use faultnet_percolation::components::ComponentCensus;
 use faultnet_percolation::PercolationConfig;
 use faultnet_routing::bfs::FloodRouter;
@@ -153,14 +153,16 @@ fn probes_answer<T: Topology + Sync + Clone>(
     let model = query.fault_model.build();
     let config = PercolationConfig::new(query.p, query.seed);
     let harness = ComplexityHarness::new(graph.clone(), config);
-    let stats = harness.measure_batched_with_model(
+    let exec = TrialExec::sequential()
+        .with_threads(MEASURE_THREADS)
+        .with_trial_batch(TRIAL_LANES);
+    let stats = harness.measure(
         &*model,
         &FloodRouter::new(),
         pair.0,
         pair.1,
         query.trials,
-        TRIAL_LANES,
-        MEASURE_THREADS,
+        exec,
     );
     stats_to_json(query, pair, &stats)
 }
@@ -253,7 +255,7 @@ fn connectivity_answer<T: Topology + Sync>(
 mod tests {
     use super::*;
     use crate::query::Metric;
-    use faultnet_faultmodel::FaultModelSpec;
+    use faultnet_faultmodel::{BernoulliEdges, FaultModelSpec};
 
     fn query(text: &str) -> Query {
         Query::from_json(&Json::parse(text).unwrap()).unwrap()
@@ -270,7 +272,13 @@ mod tests {
         // Cross-check against a direct scalar measurement.
         let cube = Hypercube::new(8);
         let harness = ComplexityHarness::new(cube, PercolationConfig::new(0.6, 7));
-        let stats = harness.measure(&FloodRouter::new(), pair.0, pair.1, 16);
+        let stats = harness.measure_with_model(
+            &BernoulliEdges::new(),
+            &FloodRouter::new(),
+            pair.0,
+            pair.1,
+            16,
+        );
         assert_eq!(
             body.get("conditioned_trials").unwrap().as_u64(),
             Some(stats.conditioned_trials() as u64)

@@ -25,6 +25,7 @@ fn main() {
     let v = fabric.vertex_at(&[55, 30]);
     let distance = fabric.distance(u, v).unwrap();
     let trials = 25;
+    let (model, exec) = (BernoulliEdges::new(), TrialExec::sequential());
 
     println!(
         "mesh fabric {side}x{side}: routing a {distance}-hop east-west path, {} trials per row",
@@ -45,8 +46,8 @@ fn main() {
         let p = 1.0 - failure;
         let config = PercolationConfig::new(p, 9_000 + (failure * 1000.0) as u64);
         let harness = ComplexityHarness::new(fabric, config);
-        let landmark = harness.measure(&MeshLandmarkRouter::new(), u, v, trials);
-        let flood = harness.measure(&FloodRouter::new(), u, v, trials);
+        let landmark = harness.measure(&model, &MeshLandmarkRouter::new(), u, v, trials, exec);
+        let flood = harness.measure(&model, &FloodRouter::new(), u, v, trials, exec);
 
         // Average detour length of the landmark router's returned paths.
         let mut stretch_total = 0.0;

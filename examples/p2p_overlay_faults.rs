@@ -28,6 +28,7 @@ fn main() {
     let overlay = Hypercube::new(dimension);
     let (u, v) = overlay.canonical_pair();
     let trials = 25;
+    let (model, exec) = (BernoulliEdges::new(), TrialExec::sequential());
 
     println!(
         "hypercubic P2P overlay: {} nodes, {} links, routing across {} overlay hops",
@@ -53,9 +54,16 @@ fn main() {
             overlay,
             PercolationConfig::new(p, 7_000 + (failure * 100.0) as u64),
         );
-        let greedy = harness.measure(&GreedyHypercubeRouter::with_detours(50_000), u, v, trials);
-        let segment = harness.measure(&SegmentRouter::default(), u, v, trials);
-        let flood = harness.measure(&FloodRouter::new(), u, v, trials);
+        let greedy = harness.measure(
+            &model,
+            &GreedyHypercubeRouter::with_detours(50_000),
+            u,
+            v,
+            trials,
+            exec,
+        );
+        let segment = harness.measure(&model, &SegmentRouter::default(), u, v, trials, exec);
+        let flood = harness.measure(&model, &FloodRouter::new(), u, v, trials, exec);
         table.push_row([
             format!("{failure:.2}"),
             format!("{:.2}", segment.connectivity_rate()),

@@ -44,8 +44,7 @@ fn main() {
             trials,
             budget,
             31_000 + i as u64,
-            threads,
-            1,
+            TrialExec::sequential().with_threads(threads),
         );
         table.push_row([
             format!("{alpha:.1}"),

@@ -32,9 +32,10 @@ fn main() {
     // conditioned on the endpoints being connected.
     let harness = ComplexityHarness::new(cube, config);
     let trials = 30;
+    let (model, exec) = (BernoulliEdges::new(), TrialExec::sequential());
 
-    let flood = harness.measure(&FloodRouter::new(), u, v, trials);
-    let segment = harness.measure(&SegmentRouter::default(), u, v, trials);
+    let flood = harness.measure(&model, &FloodRouter::new(), u, v, trials, exec);
+    let segment = harness.measure(&model, &SegmentRouter::default(), u, v, trials, exec);
 
     let mut table = Table::new([
         "router",

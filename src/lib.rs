@@ -36,12 +36,15 @@
 //! let cube = Hypercube::new(10);
 //! let cfg = PercolationConfig::new(0.5, 42);
 //!
-//! // Route between antipodal vertices with the flooding (BFS) router,
-//! // conditioning on the two endpoints being connected.
+//! // Route between antipodal vertices with the flooding (BFS) router under
+//! // the paper's i.i.d. edge faults, conditioning on the two endpoints
+//! // being connected. The execution knobs (2 threads, 64 trials per
+//! // bitset word) change the wall clock, never the statistics.
 //! let harness = ComplexityHarness::new(cube, cfg);
 //! let u = VertexId(0);
 //! let v = VertexId((1 << 10) - 1);
-//! let stats = harness.measure(&FloodRouter::default(), u, v, 20);
+//! let exec = TrialExec::sequential().with_threads(2).with_trial_batch(64);
+//! let stats = harness.measure(&BernoulliEdges::new(), &FloodRouter::default(), u, v, 20, exec);
 //! assert!(stats.success_rate() > 0.0);
 //! ```
 #![forbid(unsafe_code)]
@@ -67,6 +70,7 @@ pub mod prelude {
     pub use faultnet_faultmodel::{
         AdversarialBudget, BernoulliEdges, BernoulliNodes, Churned, CorrelatedRegions,
         DynamicFaultModel, FaultInstance, FaultModel, FaultModelSpec, PairPlacement, Resampled,
+        TrialExec,
     };
     pub use faultnet_percolation::{
         components::ComponentCensus,

@@ -14,7 +14,7 @@ use faultnet::experiments::{
     mesh_threshold::MeshThresholdExperiment,
     open_questions::OpenQuestionsExperiment,
     suite::{registry, run_all_reports},
-    Effort,
+    Effort, TrialExec,
 };
 
 /// The determinism contract of `run_all --quick`: the full rendered output
@@ -27,7 +27,11 @@ use faultnet::experiments::{
 fn run_all_quick_output_is_byte_identical_across_thread_counts() {
     let render_suite =
         |threads: usize, census_threads: usize, trial_batch: usize| -> (String, String) {
-            let reports = run_all_reports(Effort::Quick, threads, census_threads, trial_batch);
+            let exec = TrialExec::sequential()
+                .with_threads(threads)
+                .with_census_threads(census_threads)
+                .with_trial_batch(trial_batch);
+            let reports = run_all_reports(Effort::Quick, exec);
             let text: String = reports
                 .iter()
                 .map(|r| r.render())
@@ -209,7 +213,7 @@ fn churn_report_stays_routable_and_is_engine_invariant() {
 #[test]
 fn run_all_enumerates_the_registry() {
     let experiments = registry();
-    let reports = run_all_reports(Effort::Quick, 2, 1, 0);
+    let reports = run_all_reports(Effort::Quick, TrialExec::sequential().with_threads(2));
     assert_eq!(reports.len(), experiments.len());
     assert!(experiments.iter().any(|e| e.binary == "exp_fault_models"));
     assert!(experiments.iter().any(|e| e.binary == "exp_churn"));

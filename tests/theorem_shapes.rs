@@ -17,12 +17,19 @@ fn mesh_routing_is_linear_ish_and_beats_flooding() {
         let u = mesh.vertex_at(&[1, side / 2]);
         let v = mesh.vertex_at(&[1 + dist, side / 2]);
         let harness = ComplexityHarness::new(mesh, PercolationConfig::new(p, 100 + side));
-        let landmark = harness.measure(&MeshLandmarkRouter::new(), u, v, 15);
+        let landmark = harness.measure_with_model(
+            &BernoulliEdges::new(),
+            &MeshLandmarkRouter::new(),
+            u,
+            v,
+            15,
+        );
         assert!(landmark.conditioned_trials() > 5);
         assert_eq!(landmark.success_rate(), 1.0);
         per_distance.push(landmark.mean_probes() / dist as f64);
         if dist == 24 {
-            let flood = harness.measure(&FloodRouter::new(), u, v, 15);
+            let flood =
+                harness.measure_with_model(&BernoulliEdges::new(), &FloodRouter::new(), u, v, 15);
             assert!(landmark.mean_probes() < flood.mean_probes());
         }
     }
@@ -44,7 +51,13 @@ fn hypercube_transition_direction() {
         let p = (n as f64).powf(-alpha);
         let harness =
             ComplexityHarness::new(cube, PercolationConfig::new(p, seed)).with_probe_budget(80_000);
-        let stats = harness.measure(&SegmentRouter::for_alpha(alpha, 16), u, v, 10);
+        let stats = harness.measure_with_model(
+            &BernoulliEdges::new(),
+            &SegmentRouter::for_alpha(alpha, 16),
+            u,
+            v,
+            10,
+        );
         let conditioned = stats.conditioned_trials().max(1) as f64;
         (stats.probe_counts().iter().sum::<u64>() as f64
             + stats.budget_exhaustions() as f64 * 80_000.0)
@@ -70,8 +83,20 @@ fn double_tree_local_vs_oracle_gap() {
         let tt = DoubleBinaryTree::new(depth);
         let (x, y) = tt.roots();
         let harness = ComplexityHarness::new(tt, PercolationConfig::new(p, 7 + depth as u64));
-        let local = harness.measure(&LeafPenetrationRouter::new(), x, y, 25);
-        let oracle = harness.measure(&PairedDfsOracleRouter::new(), x, y, 25);
+        let local = harness.measure_with_model(
+            &BernoulliEdges::new(),
+            &LeafPenetrationRouter::new(),
+            x,
+            y,
+            25,
+        );
+        let oracle = harness.measure_with_model(
+            &BernoulliEdges::new(),
+            &PairedDfsOracleRouter::new(),
+            x,
+            y,
+            25,
+        );
         assert_eq!(local.success_rate(), 1.0);
         assert!(local.conditioned_trials() > 5);
         if oracle.successes() > 0 {
@@ -95,8 +120,20 @@ fn gnp_oracle_advantage_grows_with_n() {
         let k = CompleteGraph::new(n);
         let (u, v) = k.canonical_pair();
         let harness = ComplexityHarness::new(k, PercolationConfig::new(c / n as f64, n));
-        let local = harness.measure(&IncrementalLocalRouter::new(), u, v, 12);
-        let oracle = harness.measure(&BidirectionalGrowthRouter::new(), u, v, 12);
+        let local = harness.measure_with_model(
+            &BernoulliEdges::new(),
+            &IncrementalLocalRouter::new(),
+            u,
+            v,
+            12,
+        );
+        let oracle = harness.measure_with_model(
+            &BernoulliEdges::new(),
+            &BidirectionalGrowthRouter::new(),
+            u,
+            v,
+            12,
+        );
         assert_eq!(local.success_rate(), 1.0);
         assert_eq!(oracle.success_rate(), 1.0);
         advantage.push(local.mean_probes() / oracle.mean_probes());
@@ -115,14 +152,16 @@ fn gnp_oracle_advantage_grows_with_n() {
 fn conditioning_and_reproducibility() {
     let cube = Hypercube::new(8);
     let (u, v) = cube.canonical_pair();
-    let empty = ComplexityHarness::new(cube, PercolationConfig::new(0.0, 1)).measure(
+    let empty = ComplexityHarness::new(cube, PercolationConfig::new(0.0, 1)).measure_with_model(
+        &BernoulliEdges::new(),
         &FloodRouter::new(),
         u,
         v,
         5,
     );
     assert_eq!(empty.conditioned_trials(), 0);
-    let full = ComplexityHarness::new(cube, PercolationConfig::new(1.0, 1)).measure(
+    let full = ComplexityHarness::new(cube, PercolationConfig::new(1.0, 1)).measure_with_model(
+        &BernoulliEdges::new(),
         &FloodRouter::new(),
         u,
         v,
@@ -130,13 +169,15 @@ fn conditioning_and_reproducibility() {
     );
     assert_eq!(full.conditioned_trials(), 5);
 
-    let a = ComplexityHarness::new(cube, PercolationConfig::new(0.5, 99)).measure(
+    let a = ComplexityHarness::new(cube, PercolationConfig::new(0.5, 99)).measure_with_model(
+        &BernoulliEdges::new(),
         &SegmentRouter::default(),
         u,
         v,
         10,
     );
-    let b = ComplexityHarness::new(cube, PercolationConfig::new(0.5, 99)).measure(
+    let b = ComplexityHarness::new(cube, PercolationConfig::new(0.5, 99)).measure_with_model(
+        &BernoulliEdges::new(),
         &SegmentRouter::default(),
         u,
         v,
