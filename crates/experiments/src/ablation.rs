@@ -16,16 +16,14 @@
 
 use faultnet_analysis::stats::Summary;
 use faultnet_analysis::table::{fmt_float, Table};
-use faultnet_faultmodel::{BernoulliEdges, FaultInstance};
+use faultnet_faultmodel::BernoulliEdges;
 use faultnet_percolation::sample::{BitsetSample, EdgeStates, FrozenSample};
-use faultnet_percolation::trial_batch::LaneView;
 use faultnet_percolation::PercolationConfig;
 use faultnet_routing::bfs::FloodRouter;
-use faultnet_routing::complexity::ComplexityHarness;
+use faultnet_routing::complexity::{ComplexityHarness, TrialRouter};
 use faultnet_routing::dfs::{DepthFirstRouter, NeighborOrder};
 use faultnet_routing::hypercube::{GreedyHypercubeRouter, SegmentRouter};
 use faultnet_routing::mesh::MeshLandmarkRouter;
-use faultnet_routing::router::Router;
 use faultnet_topology::hypercube::Hypercube;
 use faultnet_topology::mesh::Mesh;
 use faultnet_topology::Topology;
@@ -84,9 +82,7 @@ fn router_row<R>(
     exec: TrialExec,
 ) -> RouterAblationRow
 where
-    R: Router<Hypercube, FaultInstance>
-        + for<'b, 'g> Router<Hypercube, LaneView<'b, 'g, Hypercube>>
-        + Sync,
+    R: TrialRouter<Hypercube>,
 {
     let (u, v) = harness.graph().canonical_pair();
     let stats = harness.measure(&BernoulliEdges::new(), router, u, v, trials, exec);

@@ -16,10 +16,9 @@ fn main() {
     let args = ExpArgs::parse_env();
     args.init_obs();
     args.warn_fault_model_ignored("exp_chemical_distance");
-    args.warn_trial_batch_ignored("exp_chemical_distance");
+    let exec = args.exec_for("exp_chemical_distance");
     args.warn_rescan_ignored("exp_chemical_distance");
-    let experiment = ChemicalDistanceExperiment::with_effort(args.effort)
-        .with_exec(args.exec().with_trial_batch(0));
+    let experiment = ChemicalDistanceExperiment::with_effort(args.effort).with_exec(exec);
     args.print(&experiment.run());
     args.finish_obs();
 }

@@ -25,9 +25,9 @@ use faultnet_experiments::cli::ExpArgs;
 fn main() {
     let args = ExpArgs::parse_env();
     args.init_obs();
-    args.warn_trial_batch_ignored("exp_churn");
+    let exec = args.exec_for("exp_churn");
     let experiment = ChurnExperiment::with_effort(args.effort)
-        .with_exec(args.exec().with_trial_batch(0))
+        .with_exec(exec)
         .with_rescan(args.rescan)
         .with_fault_model(args.fault_model);
     args.print(&experiment.run());

@@ -25,9 +25,10 @@ use faultnet_experiments::fault_models::FaultModelsExperiment;
 fn main() {
     let args = ExpArgs::parse_env();
     args.init_obs();
+    let exec = args.exec_for("exp_fault_models");
     args.warn_rescan_ignored("exp_fault_models");
     let experiment = FaultModelsExperiment::with_effort(args.effort)
-        .with_exec(args.exec())
+        .with_exec(exec)
         .with_fault_model(args.fault_model);
     args.print(&experiment.run());
     args.finish_obs();

@@ -16,10 +16,9 @@ fn main() {
     let args = ExpArgs::parse_env();
     args.init_obs();
     args.warn_fault_model_ignored("exp_gnp");
-    args.warn_trial_batch_ignored("exp_gnp");
+    let exec = args.exec_for("exp_gnp");
     args.warn_rescan_ignored("exp_gnp");
-    let experiment =
-        GnpExperiment::with_effort(args.effort).with_exec(args.exec().with_trial_batch(0));
+    let experiment = GnpExperiment::with_effort(args.effort).with_exec(exec);
     args.print(&experiment.run());
     args.finish_obs();
 }

@@ -18,8 +18,9 @@ fn main() {
     let args = ExpArgs::parse_env();
     args.init_obs();
     args.warn_fault_model_ignored("exp_hypercube_giant");
+    let exec = args.exec_for("exp_hypercube_giant");
     args.warn_rescan_ignored("exp_hypercube_giant");
-    let experiment = HypercubeGiantExperiment::with_effort(args.effort).with_exec(args.exec());
+    let experiment = HypercubeGiantExperiment::with_effort(args.effort).with_exec(exec);
     args.print(&experiment.run());
     args.finish_obs();
 }

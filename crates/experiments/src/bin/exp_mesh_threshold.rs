@@ -18,8 +18,9 @@ fn main() {
     let args = ExpArgs::parse_env();
     args.init_obs();
     args.warn_fault_model_ignored("exp_mesh_threshold");
+    let exec = args.exec_for("exp_mesh_threshold");
     args.warn_rescan_ignored("exp_mesh_threshold");
-    let experiment = MeshThresholdExperiment::with_effort(args.effort).with_exec(args.exec());
+    let experiment = MeshThresholdExperiment::with_effort(args.effort).with_exec(exec);
     args.print(&experiment.run());
     args.finish_obs();
 }

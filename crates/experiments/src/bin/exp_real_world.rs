@@ -28,9 +28,10 @@ use faultnet_experiments::real_world::RealWorldExperiment;
 fn main() {
     let args = ExpArgs::parse_env();
     args.init_obs();
+    let exec = args.exec_for("exp_real_world");
     args.warn_rescan_ignored("exp_real_world");
     let experiment = RealWorldExperiment::with_effort(args.effort)
-        .with_exec(args.exec())
+        .with_exec(exec)
         .with_fault_model(args.fault_model);
     args.print(&experiment.run());
     args.finish_obs();

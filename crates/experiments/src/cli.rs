@@ -30,7 +30,7 @@
 //!   edge. Consumed by the trial-fan-out binaries (`exp_hypercube_giant`,
 //!   `exp_mesh_threshold`, `exp_fault_models`, `exp_real_world`) and by
 //!   `run_all`; the others
-//!   warn on stderr ([`ExpArgs::warn_trial_batch_ignored`]). `N = 0` (the
+//!   warn on stderr ([`ExpArgs::exec_for`]). `N = 0` (the
 //!   default) keeps the scalar engine. The batched engine is bit-identical
 //!   to the scalar one — every emitted byte is the same for every `N` —
 //!   and the adversarial fault-model column always stays on the scalar
@@ -66,6 +66,7 @@ use faultnet_faultmodel::FaultModelSpec;
 
 use crate::exec::TrialExec;
 use crate::report::Effort;
+use crate::suite::{registered, registry};
 
 /// Parsed experiment-binary arguments.
 ///
@@ -297,21 +298,34 @@ impl ExpArgs {
         }
     }
 
-    /// Warns on stderr when `--trial-batch` was passed to a binary whose
-    /// experiment has no trial fan-out to batch (single-instance analyses,
-    /// distance scans). Mirrors [`ExpArgs::warn_fault_model_ignored`]:
-    /// silently accepting the flag would let a user believe the batched
-    /// engine ran when nothing batched.
-    pub fn warn_trial_batch_ignored(&self, binary: &str) {
-        if self.trial_batch > 0 {
+    /// The execution knobs `binary`'s experiment consumes:
+    /// [`ExpArgs::exec`] passed through
+    /// [`RegisteredExperiment::exec`](crate::suite::RegisteredExperiment::exec), so
+    /// the registry alone decides who honours `--trial-batch`. A binary
+    /// whose experiment has no trial fan-out to batch (single-instance
+    /// analyses, distance scans) warns on stderr when the flag was passed:
+    /// silently accepting it would let a user believe the batched engine
+    /// ran when nothing batched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `binary` is not a registered experiment.
+    pub fn exec_for(&self, binary: &str) -> TrialExec {
+        let experiment = registered(binary);
+        if self.trial_batch > 0 && !experiment.supports_trial_batch {
+            let consumers: Vec<&str> = registry()
+                .iter()
+                .filter(|e| e.supports_trial_batch)
+                .map(|e| e.binary)
+                .collect();
             eprintln!(
                 "--trial-batch {} is ignored by {binary}; the trial-batched \
-                 engine applies to the trial-fan-out experiments \
-                 (exp_hypercube_giant, exp_mesh_threshold, exp_fault_models, \
-                 exp_real_world)",
-                self.trial_batch
+                 engine applies to the trial-fan-out experiments ({})",
+                self.trial_batch,
+                consumers.join(", ")
             );
         }
+        experiment.exec(self.exec())
     }
 
     /// Turns the observability layer on if `--trace` or `--obs-summary`

@@ -52,7 +52,8 @@ pub struct FamilyPoint {
 /// Measures one family at one probability under `exec`: the giant
 /// fraction through [`measure_giant_point_with_model`] and the conditioned
 /// flooding cost through the complexity harness (the result is identical
-/// for every `exec`).
+/// for every `exec`). `exec.census_threads` applies to the giant census
+/// only.
 ///
 /// Every candidate family has a closed-form `Topology::edge_index`, so the
 /// per-instance [`faultnet_percolation::BitsetSample`] always materialises
@@ -70,7 +71,10 @@ pub fn measure_family_point<T: Topology + Clone + Sync>(
     let harness =
         ComplexityHarness::new(graph.clone(), PercolationConfig::new(p, base_seed ^ 0xABCD));
     let (u, v) = graph.canonical_pair();
-    let stats = harness.measure(&model, &FloodRouter::new(), u, v, trials, exec);
+    // Conditioning stays on the early-exiting BFS: the sweep starts below
+    // the giant threshold, where a census per trial is far slower.
+    let routing_exec = exec.with_census_threads(1);
+    let stats = harness.measure(&model, &FloodRouter::new(), u, v, trials, routing_exec);
     let mean_probes = Summary::from_counts(stats.probe_counts().iter().copied()).mean();
     FamilyPoint {
         p,

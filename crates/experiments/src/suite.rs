@@ -40,15 +40,26 @@ pub struct RegisteredExperiment {
 }
 
 impl RegisteredExperiment {
-    /// Runs the experiment at the given effort under `exec` (its
-    /// `trial_batch` is dropped by experiments that don't
-    /// [`Self::supports_trial_batch`]). Every knob is a pure wall-clock
-    /// lever: the report is a function of `effort` alone.
+    /// `exec` as this experiment consumes it: an experiment that doesn't
+    /// [`Self::supports_trial_batch`] runs with the trial batch off. The
+    /// registry marker is the one place that decides this, for `run_all`
+    /// and the dedicated binaries alike.
+    pub fn exec(&self, exec: TrialExec) -> TrialExec {
+        if self.supports_trial_batch {
+            exec
+        } else {
+            exec.with_trial_batch(0)
+        }
+    }
+
+    /// Runs the experiment at the given effort under [`Self::exec`]. Every
+    /// knob is a pure wall-clock lever: the report is a function of
+    /// `effort` alone.
     pub fn run(&self, effort: Effort, exec: TrialExec) -> ExperimentReport {
         // `binary` is 'static, so it doubles as the span name: one span per
         // experiment, visible in `--trace` output as `exp_mesh_routing` etc.
         let _span = faultnet_obs::span(self.binary);
-        (self.run)(effort, exec)
+        (self.run)(effort, self.exec(exec))
     }
 }
 
@@ -58,19 +69,8 @@ pub fn registry() -> Vec<RegisteredExperiment> {
     // A macro keeps each entry to one line and guarantees every experiment
     // is wired through the same with_effort/with_exec/run protocol. The
     // `scalar`/`batched` marker states whether the experiment consumes the
-    // trial-batch knob: `batched` entries forward it, the rest drop it
-    // (their trial structure has nothing for lanes to pack).
+    // trial-batch knob (see `RegisteredExperiment::exec`).
     macro_rules! experiments {
-        (@run scalar, $ty:ty) => {
-            |effort, exec: TrialExec| {
-                <$ty>::with_effort(effort)
-                    .with_exec(exec.with_trial_batch(0))
-                    .run()
-            }
-        };
-        (@run batched, $ty:ty) => {
-            |effort, exec| <$ty>::with_effort(effort).with_exec(exec).run()
-        };
         (@supports scalar) => {
             false
         };
@@ -83,7 +83,7 @@ pub fn registry() -> Vec<RegisteredExperiment> {
                 binary: $binary,
                 title: $title,
                 supports_trial_batch: experiments!(@supports $marker),
-                run: experiments!(@run $marker, $ty),
+                run: |effort, exec| <$ty>::with_effort(effort).with_exec(exec).run(),
             }),+]
         };
     }
@@ -102,6 +102,18 @@ pub fn registry() -> Vec<RegisteredExperiment> {
         "E12", "exp_churn", "dynamic fault churn — incremental census over fail/repair dynamics" => scalar ChurnExperiment;
         "E13", "exp_real_world", "fault-model matrix on real-world/scale-free substrates" => batched RealWorldExperiment;
     }
+}
+
+/// The registered experiment whose dedicated binary is `binary`.
+///
+/// # Panics
+///
+/// Panics if no registered experiment has that binary name.
+pub fn registered(binary: &str) -> RegisteredExperiment {
+    registry()
+        .into_iter()
+        .find(|e| e.binary == binary)
+        .unwrap_or_else(|| panic!("{binary} is not a registered experiment"))
 }
 
 /// Runs every registered experiment at the given effort under `exec`, in
@@ -154,6 +166,41 @@ mod tests {
     }
 
     #[test]
+    fn every_binary_is_registered_and_exec_drops_only_unsupported_batching() {
+        let bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let mut found = 0;
+        for entry in std::fs::read_dir(bins).expect("src/bin is readable") {
+            let name = entry.expect("directory entry").file_name();
+            let Some(binary) = name.to_str().and_then(|n| n.strip_suffix(".rs")) else {
+                continue;
+            };
+            if binary == "run_all" {
+                continue;
+            }
+            let experiment = registered(binary);
+            let exec = TrialExec::sequential().with_threads(3).with_trial_batch(64);
+            let expected = exec.with_trial_batch(if experiment.supports_trial_batch {
+                64
+            } else {
+                0
+            });
+            assert_eq!(experiment.exec(exec), expected, "{binary}");
+            found += 1;
+        }
+        assert_eq!(
+            found,
+            registry().len(),
+            "a registered experiment has no binary"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not a registered experiment")]
+    fn unregistered_binaries_are_rejected() {
+        let _ = registered("exp_missing");
+    }
+
+    #[test]
     fn exactly_the_trial_fan_out_experiments_support_batching() {
         let batched: Vec<&str> = registry()
             .iter()
@@ -168,8 +215,7 @@ mod tests {
                 "exp_fault_models",
                 "exp_real_world"
             ],
-            "the --trial-batch consumers changed; update the binaries' \
-             warn_trial_batch_ignored list and docs/EXPERIMENTS.md"
+            "the --trial-batch consumers changed; update docs/EXPERIMENTS.md"
         );
     }
 }

@@ -104,6 +104,7 @@ mod tests {
         shuffle_exchange::ShuffleExchange,
         torus::Torus,
     };
+    use proptest::prelude::*;
 
     const SEQ: TrialExec = TrialExec {
         threads: 1,
@@ -244,32 +245,47 @@ mod tests {
         );
     }
 
-    /// The batched mean is bit-identical to the per-seed oracle across the
-    /// family zoo, for every batch size — including 65 and 200, which clamp
-    /// to 64 — and for ragged trial counts on both sides of the word
-    /// boundary.
+    /// Asserts the batched-mean contract on every family of the zoo.
+    fn assert_zoo_means_identical(p: f64, seed: u64) {
+        assert_batched_means_identical(&Hypercube::new(5), p, seed);
+        assert_batched_means_identical(&Mesh::new(2, 5), p, seed);
+        assert_batched_means_identical(&Torus::new(2, 4), p, seed);
+        assert_batched_means_identical(&CompleteGraph::new(16), p, seed);
+        assert_batched_means_identical(&DeBruijn::new(5), p, seed);
+        assert_batched_means_identical(&ShuffleExchange::new(5), p, seed);
+        assert_batched_means_identical(&Butterfly::new(3), p, seed);
+        assert_batched_means_identical(&BinaryTree::new(4), p, seed);
+        assert_batched_means_identical(&DoubleBinaryTree::new(3), p, seed);
+        assert_batched_means_identical(
+            &CycleWithMatching::new(16, MatchingKind::Antipodal),
+            p,
+            seed,
+        );
+        assert_batched_means_identical(&ExplicitGraph::from_topology(&Mesh::new(2, 4)), p, seed);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The batched mean is bit-identical to the per-seed oracle across
+        /// the family zoo, for every batch size — including 65 and 200,
+        /// which clamp to 64 — and for ragged trial counts on both sides of
+        /// the word boundary.
+        #[test]
+        fn batched_means_are_bit_identical_across_the_zoo(
+            p in 0.0f64..1.0,
+            base_seed in any::<u64>(),
+        ) {
+            assert_zoo_means_identical(p, base_seed);
+        }
+    }
+
+    /// The zoo contract at fixed points, including a base seed whose trial
+    /// seeds wrap past `u64::MAX`.
     #[test]
-    fn batched_means_are_bit_identical_across_the_zoo() {
+    fn batched_means_are_bit_identical_at_fixed_points() {
         for (p, seed) in [(0.2, 3u64), (0.5, 0xFA05), (0.85, u64::MAX - 40)] {
-            assert_batched_means_identical(&Hypercube::new(5), p, seed);
-            assert_batched_means_identical(&Mesh::new(2, 5), p, seed);
-            assert_batched_means_identical(&Torus::new(2, 4), p, seed);
-            assert_batched_means_identical(&CompleteGraph::new(16), p, seed);
-            assert_batched_means_identical(&DeBruijn::new(5), p, seed);
-            assert_batched_means_identical(&ShuffleExchange::new(5), p, seed);
-            assert_batched_means_identical(&Butterfly::new(3), p, seed);
-            assert_batched_means_identical(&BinaryTree::new(4), p, seed);
-            assert_batched_means_identical(&DoubleBinaryTree::new(3), p, seed);
-            assert_batched_means_identical(
-                &CycleWithMatching::new(16, MatchingKind::Antipodal),
-                p,
-                seed,
-            );
-            assert_batched_means_identical(
-                &ExplicitGraph::from_topology(&Mesh::new(2, 4)),
-                p,
-                seed,
-            );
+            assert_zoo_means_identical(p, seed);
         }
     }
 

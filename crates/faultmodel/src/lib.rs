@@ -437,6 +437,17 @@ impl FaultInstance {
     pub fn severed_edges(&self) -> Option<&HashSet<EdgeId>> {
         self.severed.as_ref()
     }
+
+    /// The lazy sampler itself, when this instance is a plain Bernoulli
+    /// edge sample with no overlay. It has the same edge states, so a hot
+    /// loop can read it directly instead of checking the overlays on every
+    /// edge.
+    pub fn bare_sampler(&self) -> Option<&EdgeSampler> {
+        match (&self.substrate, &self.dead, &self.severed) {
+            (Substrate::Lazy(sampler), None, None) => Some(sampler),
+            _ => None,
+        }
+    }
 }
 
 impl EdgeStates for FaultInstance {
@@ -497,6 +508,38 @@ mod tests {
     fn node_mask_rejects_out_of_range_kill() {
         let mut mask = NodeMask::all_alive(8);
         mask.kill(VertexId(8));
+    }
+
+    #[test]
+    fn bare_sampler_is_exposed_exactly_for_plain_bernoulli_edges() {
+        let cube = Hypercube::new(6);
+        let config = PercolationConfig::new(0.5, 9);
+        for spec in FaultModelSpec::ALL {
+            let instance = spec
+                .build()
+                .instance(&cube, config, Some(cube.canonical_pair()));
+            let Some(sampler) = instance.bare_sampler() else {
+                assert_ne!(spec, FaultModelSpec::BernoulliEdges, "{spec}");
+                continue;
+            };
+            assert_eq!(spec, FaultModelSpec::BernoulliEdges);
+            for e in cube.edges() {
+                assert_eq!(sampler.is_open(e), instance.is_open(e), "{e:?}");
+            }
+        }
+        let plain = || FaultInstance::from_sampler(config.sampler());
+        let frozen =
+            FaultInstance::from_frozen(FrozenSample::from_sampler(&cube, &config.sampler()));
+        assert!(plain().bare_sampler().is_some());
+        assert!(frozen.bare_sampler().is_none());
+        assert!(plain()
+            .with_dead_nodes(NodeMask::all_alive(64))
+            .bare_sampler()
+            .is_none());
+        assert!(plain()
+            .with_severed_edges(HashSet::new())
+            .bare_sampler()
+            .is_none());
     }
 
     #[test]

@@ -173,7 +173,7 @@ where
     // `Vec<Vec<_>>` and flattening afterwards raised peak RSS by one edge
     // list (8 MB on H₁₆) every few calls, measured on repeated giant scans.
     let mut per_trial = Vec::with_capacity(trials as usize);
-    if exec.threads == 1 {
+    if exec.threads == 1 || starts.len() <= 1 {
         for t0 in &starts {
             per_trial.extend(run_chunk(t0));
         }

@@ -24,7 +24,7 @@ use faultnet_percolation::bfs::connected;
 use faultnet_percolation::components::ComponentCensus;
 use faultnet_percolation::sample::EdgeStates;
 use faultnet_percolation::trial_batch::{LaneView, TrialBatch};
-use faultnet_percolation::PercolationConfig;
+use faultnet_percolation::{EdgeSampler, PercolationConfig};
 use faultnet_topology::{Topology, VertexId};
 
 use crate::probe::ProbeEngine;
@@ -183,6 +183,28 @@ impl ComplexityStats {
     pub fn min_probes(&self) -> Option<u64> {
         self.probe_counts.iter().copied().min()
     }
+}
+
+/// A router the harness can run on every store a trial comes in: one
+/// [`FaultInstance`], the bare [`EdgeSampler`] of a plain Bernoulli
+/// instance, or one lane of a [`TrialBatch`]. Every router generic over its
+/// [`EdgeStates`] is one.
+pub trait TrialRouter<T: Topology>:
+    Router<T, FaultInstance>
+    + Router<T, EdgeSampler>
+    + for<'b, 'g> Router<T, LaneView<'b, 'g, T>>
+    + Sync
+{
+}
+
+impl<T, R> TrialRouter<T> for R
+where
+    T: Topology,
+    R: Router<T, FaultInstance>
+        + Router<T, EdgeSampler>
+        + for<'b, 'g> Router<T, LaneView<'b, 'g, T>>
+        + Sync,
+{
 }
 
 /// Measurement harness realising Definition 2 for a fixed topology, failure
@@ -361,7 +383,7 @@ impl<T: Topology> ComplexityHarness<T> {
     where
         T: Sync,
         M: FaultModel + Sync + ?Sized,
-        R: Router<T, FaultInstance> + for<'b, 'g> Router<T, LaneView<'b, 'g, T>> + Sync,
+        R: TrialRouter<T>,
     {
         let visitor = Conditioned {
             harness: self,
@@ -400,7 +422,7 @@ impl<T: Topology> ComplexityHarness<T> {
     where
         T: Sync,
         M: FaultModel + Sync + ?Sized,
-        R: Router<T, FaultInstance> + for<'b, 'g> Router<T, LaneView<'b, 'g, T>> + Sync,
+        R: TrialRouter<T>,
     {
         self.measure(model, router, u, v, trials, TrialExec::sequential())
     }
@@ -421,7 +443,7 @@ impl<T: Topology> ComplexityHarness<T> {
     where
         T: Sync,
         M: FaultModel + Sync + ?Sized,
-        R: Router<T, FaultInstance> + for<'b, 'g> Router<T, LaneView<'b, 'g, T>> + Sync,
+        R: TrialRouter<T>,
     {
         let exec = TrialExec::sequential()
             .with_threads(threads)
@@ -439,26 +461,46 @@ struct Conditioned<'a, T, R> {
     census_threads: usize,
 }
 
-impl<T, R> TrialVisitor<T> for Conditioned<'_, T, R>
+impl<T, R> Conditioned<'_, T, R>
 where
     T: Topology + Sync,
-    R: Router<T, FaultInstance> + for<'b, 'g> Router<T, LaneView<'b, 'g, T>> + Sync,
+    R: TrialRouter<T>,
 {
-    type Output = Option<TrialResult>;
-
-    fn instance(&self, instance: &FaultInstance) -> Option<TrialResult> {
+    /// Conditions one scalar trial on `{u ∼ v}`, then routes it.
+    fn scalar<S>(&self, states: &S) -> Option<TrialResult>
+    where
+        S: EdgeStates + Sync,
+        R: Router<T, S>,
+    {
         let (graph, u, v) = (&self.harness.graph, self.u, self.v);
         let conditioned = if self.census_threads <= 1 {
-            connected(graph, instance, u, v)
+            connected(graph, states, u, v)
         } else {
-            ComponentCensus::compute_parallel(graph, instance, self.census_threads)
+            ComponentCensus::compute_parallel(graph, states, self.census_threads)
                 .same_component(u, v)
         };
         if !conditioned {
             faultnet_obs::count("routing.trials.rejected", 1);
             return None;
         }
-        Some(self.harness.classify_trial(self.router, instance, u, v))
+        Some(self.harness.classify_trial(self.router, states, u, v))
+    }
+}
+
+impl<T, R> TrialVisitor<T> for Conditioned<'_, T, R>
+where
+    T: Topology + Sync,
+    R: TrialRouter<T>,
+{
+    type Output = Option<TrialResult>;
+
+    fn instance(&self, instance: &FaultInstance) -> Option<TrialResult> {
+        // A plain Bernoulli instance runs on its bare sampler: the same
+        // edge states, without the overlay checks on every probed edge.
+        match instance.bare_sampler() {
+            Some(sampler) => self.scalar(sampler),
+            None => self.scalar(instance),
+        }
     }
 
     fn batch(&self, batch: &TrialBatch<'_, T>) -> Vec<Option<TrialResult>> {
@@ -501,7 +543,7 @@ mod tests {
     fn bernoulli<T, R>(harness: &ComplexityHarness<T>, router: &R, trials: u32) -> ComplexityStats
     where
         T: Topology + Sync,
-        R: Router<T, FaultInstance> + for<'b, 'g> Router<T, LaneView<'b, 'g, T>> + Sync,
+        R: TrialRouter<T>,
     {
         let (u, v) = harness.graph().canonical_pair();
         harness.measure_with_model(&BernoulliEdges::new(), router, u, v, trials)

@@ -11,14 +11,12 @@
 //! element — the strongest equality the type can express.
 
 use faultnet_faultmodel::trials::TrialExec;
-use faultnet_faultmodel::{FaultInstance, FaultModel, FaultModelSpec};
-use faultnet_percolation::trial_batch::LaneView;
+use faultnet_faultmodel::{FaultModel, FaultModelSpec};
 use faultnet_percolation::PercolationConfig;
 use faultnet_routing::bfs::FloodRouter;
-use faultnet_routing::complexity::ComplexityHarness;
+use faultnet_routing::complexity::{ComplexityHarness, TrialRouter};
 use faultnet_routing::hypercube::SegmentRouter;
 use faultnet_routing::mesh::MeshLandmarkRouter;
-use faultnet_routing::router::Router;
 use faultnet_topology::hypercube::Hypercube;
 use faultnet_topology::load::karate_club;
 use faultnet_topology::mesh::Mesh;
@@ -59,7 +57,7 @@ fn assert_matches_oracle<T, M, R>(
 ) where
     T: Topology + Sync,
     M: FaultModel + Sync + ?Sized,
-    R: Router<T, FaultInstance> + for<'b, 'g> Router<T, LaneView<'b, 'g, T>> + Sync,
+    R: TrialRouter<T>,
 {
     let (u, v) = harness.graph().canonical_pair();
     let oracle = harness.measure_with_model(model, router, u, v, trials);
