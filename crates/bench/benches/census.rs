@@ -149,7 +149,7 @@ fn bench_incremental_vs_rescan(c: &mut Criterion) {
 /// failed edge then sits near the bottom, so before the rebuild fallback a
 /// step rewound and replayed almost the entire log — O(E) work per step
 /// that made H₁₈ uniform churn take twice as long incrementally (88 s) as
-/// with `--rescan` (44 s). With the fallback
+/// with per-step rescans (44 s). With the fallback
 /// (`IncrementalCensus::should_rebuild`: rebuild when 2·suffix >
 /// survivors) the fail step now costs one from-scratch build — the same
 /// union pass a rescan pays — and the repair step stays incremental (k

@@ -17,7 +17,6 @@ fn main() {
     args.init_obs();
     args.warn_fault_model_ignored("exp_ablation");
     let exec = args.exec_for("exp_ablation");
-    args.warn_rescan_ignored("exp_ablation");
     let experiment = AblationExperiment::with_effort(args.effort).with_exec(exec);
     args.print(&experiment.run());
     args.finish_obs();

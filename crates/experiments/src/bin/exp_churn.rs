@@ -2,22 +2,20 @@
 //!
 //! Lowers a static fault model to a fail-stop-with-repair churn schedule
 //! and tracks, per timestep, the giant-component fraction and the
-//! canonical pair's routability on hypercubes and the mesh — through the
-//! incremental (rewindable union-find) census by default, or through a
-//! from-scratch census per timestep with `--rescan`. The two engines are
-//! bit-identical on every emitted byte; CI `cmp`s them.
+//! canonical pair's routability on hypercubes and the mesh through the
+//! incremental (rewindable union-find) census. CI `cmp`s the `--quick
+//! --markdown` output against `crates/experiments/tests/golden/exp_churn_quick.md`.
 //!
 //! Flags: `--quick` for the reduced configuration used by tests and CI
 //! (the default is the full configuration recorded in docs/EXPERIMENTS.md),
 //! `--threads N` to fan trials across `N` workers (0 or absent = one
 //! worker per core; the emitted tables are identical for every value),
-//! `--census-threads N` to run the `--rescan` path's from-scratch censuses
-//! on `N` workers (absent = sequential; 0 = one worker per core; the
-//! emitted tables are identical for every value), `--rescan` to force the
-//! from-scratch engine, `--fault-model NAME` to churn a different static
-//! base model, and `--markdown` for Markdown output. `--trial-batch` is
-//! not consumed: each trial walks one evolving instance, so there is no
-//! trial fan-out for the multispin engine to pack.
+//! `--fault-model NAME` to churn a different static base model, and
+//! `--markdown` for Markdown output. E12 reads neither `--census-threads`
+//! (the incremental census runs no from-scratch census to parallelise) nor
+//! `--trial-batch` (each trial walks one evolving instance, so there is no
+//! trial fan-out for the multispin engine to pack); the latter warns on
+//! stderr.
 
 use faultnet_experiments::churn::ChurnExperiment;
 use faultnet_experiments::cli::ExpArgs;
@@ -28,7 +26,6 @@ fn main() {
     let exec = args.exec_for("exp_churn");
     let experiment = ChurnExperiment::with_effort(args.effort)
         .with_exec(exec)
-        .with_rescan(args.rescan)
         .with_fault_model(args.fault_model);
     args.print(&experiment.run());
     args.finish_obs();

@@ -26,7 +26,6 @@ fn main() {
     let args = ExpArgs::parse_env();
     args.init_obs();
     let exec = args.exec_for("exp_fault_models");
-    args.warn_rescan_ignored("exp_fault_models");
     let experiment = FaultModelsExperiment::with_effort(args.effort)
         .with_exec(exec)
         .with_fault_model(args.fault_model);

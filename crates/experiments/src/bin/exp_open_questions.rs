@@ -17,7 +17,6 @@ fn main() {
     args.init_obs();
     args.warn_fault_model_ignored("exp_open_questions");
     let exec = args.exec_for("exp_open_questions");
-    args.warn_rescan_ignored("exp_open_questions");
     let experiment = OpenQuestionsExperiment::with_effort(args.effort).with_exec(exec);
     args.print(&experiment.run());
     args.finish_obs();

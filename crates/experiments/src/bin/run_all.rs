@@ -26,7 +26,6 @@ fn main() {
     let args = ExpArgs::parse_env();
     args.init_obs();
     args.warn_fault_model_ignored("run_all");
-    args.warn_rescan_ignored("run_all");
     let reports = run_all_reports(args.effort, args.exec());
 
     for report in &reports {

@@ -19,21 +19,17 @@
 //! is exactly the regime in which the paper's routing guarantees keep
 //! holding per-timestep.
 //!
-//! The `--rescan` flag forces a from-scratch [`ComponentCensus`] at every
-//! timestep instead of the incremental engine. Both paths are bit-identical
-//! on every reported number (the incremental census equals a full rescan on
-//! every accessor — the tentpole equivalence, proven zoo-wide in
-//! `crates/percolation/tests/churn_equivalence.rs`), so CI `cmp`s the two
-//! outputs byte for byte.
+//! The incremental census equals a from-scratch census on every accessor at
+//! every timestep (proven zoo-wide in
+//! `crates/percolation/tests/churn_equivalence.rs`), so the reported
+//! numbers are exactly those of per-step rescans.
 
 use faultnet_analysis::sweep::Sweep;
 use faultnet_analysis::table::{fmt_float, Table};
 use faultnet_faultmodel::dynamic::{Churned, DynamicFaultModel};
 use faultnet_faultmodel::FaultModelSpec;
-use faultnet_percolation::components::ComponentCensus;
-use faultnet_percolation::dynamic::{EventKind, IncrementalCensus};
-use faultnet_percolation::sample::FrozenSample;
-use faultnet_percolation::{EdgeStates, PercolationConfig};
+use faultnet_percolation::dynamic::IncrementalCensus;
+use faultnet_percolation::PercolationConfig;
 use faultnet_topology::hypercube::Hypercube;
 use faultnet_topology::mesh::Mesh;
 use faultnet_topology::Topology;
@@ -46,71 +42,33 @@ use crate::report::{Effort, ExperimentReport};
 /// the canonical pair was in one component.
 type TrialSeries = Vec<(usize, f64, bool)>;
 
-/// Walks one trial's churn schedule and records the series, through the
-/// incremental census or (with `rescan`) a from-scratch census per step.
-///
-/// The two engines agree bit-identically on every recorded number — that is
-/// the equivalence contract the churn test suite proves — so `rescan` is a
-/// wall-clock/cross-check knob, never a result knob.
+/// Walks one trial's churn schedule through the incremental census and
+/// records the series.
 fn trial_series(
     graph: &(dyn Topology + Sync),
     dynamic: &(dyn DynamicFaultModel + Sync),
     p: f64,
     seed: u64,
     timesteps: usize,
-    rescan: bool,
-    census_threads: usize,
 ) -> TrialSeries {
     let pair = graph.canonical_pair();
     let config = PercolationConfig::new(p, seed);
     let initial = dynamic.initial(graph, config, Some(pair));
     let schedule = dynamic.schedule(graph, config, Some(pair), &initial, timesteps);
+    let mut census = IncrementalCensus::new(graph, &initial);
     let mut series = Vec::with_capacity(timesteps + 1);
-    if rescan {
-        let mut open = FrozenSample::from_open_edges(
-            graph.edges().into_iter().filter(|e| initial.is_open(*e)),
-        );
-        let census = ComponentCensus::compute_parallel(graph, &open, census_threads);
+    series.push((
+        0,
+        census.giant_fraction(),
+        census.same_component(pair.0, pair.1),
+    ));
+    for events in schedule.iter() {
+        census.step(events);
         series.push((
-            0,
+            events.len(),
             census.giant_fraction(),
             census.same_component(pair.0, pair.1),
         ));
-        for t in 0..timesteps {
-            let events = schedule.timestep(t);
-            for event in events {
-                match event.kind {
-                    EventKind::Fail => {
-                        open.close_edge(event.edge);
-                    }
-                    EventKind::Repair => {
-                        open.open_edge(event.edge);
-                    }
-                }
-            }
-            let census = ComponentCensus::compute_parallel(graph, &open, census_threads);
-            series.push((
-                events.len(),
-                census.giant_fraction(),
-                census.same_component(pair.0, pair.1),
-            ));
-        }
-    } else {
-        let mut census = IncrementalCensus::new(graph, &initial);
-        series.push((
-            0,
-            census.giant_fraction(),
-            census.same_component(pair.0, pair.1),
-        ));
-        for t in 0..timesteps {
-            let events = schedule.timestep(t);
-            census.step(events);
-            series.push((
-                events.len(),
-                census.giant_fraction(),
-                census.same_component(pair.0, pair.1),
-            ));
-        }
     }
     series
 }
@@ -142,10 +100,6 @@ pub struct ChurnExperiment {
     /// Wall-clock execution knobs (the reported numbers are identical for
     /// every value).
     pub exec: TrialExec,
-    /// Force a from-scratch census per timestep instead of the incremental
-    /// engine (the `--rescan` knob; the reported numbers are identical
-    /// either way — that equivalence is the point).
-    pub rescan: bool,
 }
 
 impl ChurnExperiment {
@@ -167,7 +121,6 @@ impl ChurnExperiment {
             base_seed: 0xC4A2,
             model: FaultModelSpec::BernoulliEdges,
             exec: TrialExec::sequential(),
-            rescan: false,
         }
     }
 
@@ -185,13 +138,6 @@ impl ChurnExperiment {
     #[must_use]
     pub fn with_exec(mut self, exec: TrialExec) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Forces from-scratch censuses per timestep (the `--rescan` knob).
-    #[must_use]
-    pub fn with_rescan(mut self, rescan: bool) -> Self {
-        self.rescan = rescan;
         self
     }
 
@@ -219,12 +165,10 @@ impl ChurnExperiment {
                     .wrapping_add(family_seed << 32)
                     .wrapping_add(t as u64),
                 self.timesteps,
-                self.rescan,
-                self.exec.census_threads,
             )
         });
         // Fold in trial order: the f64 sums (and therefore every rendered
-        // digit) are identical for every thread count and both engines.
+        // digit) are identical for every thread count.
         let mut events_total = vec![0usize; self.timesteps + 1];
         let mut giant_total = vec![0.0f64; self.timesteps + 1];
         let mut routable_count = vec![0u32; self.timesteps + 1];
@@ -322,16 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn rescan_engine_is_byte_identical_to_incremental() {
-        // The end-to-end half of the tentpole equivalence: forcing a
-        // from-scratch census at every timestep must not move a byte of the
-        // rendered report.
-        let incremental = ChurnExperiment::quick().run().render();
-        let rescan = ChurnExperiment::quick().with_rescan(true).run().render();
-        assert_eq!(incremental, rescan);
-    }
-
-    #[test]
     fn report_is_byte_identical_across_thread_counts() {
         let baseline = ChurnExperiment::quick().run().render();
         for threads in [2, 4] {
@@ -342,7 +276,6 @@ mod tests {
             assert_eq!(baseline, threaded, "threads = {threads}");
         }
         let census_threaded = ChurnExperiment::quick()
-            .with_rescan(true)
             .with_exec(
                 TrialExec::sequential()
                     .with_census_threads(2)

@@ -23,7 +23,8 @@
 //!   component (see `ComplexityHarness::measure`). The parallel census is
 //!   bit-identical to the sequential one (canonical min-vertex component
 //!   labels), so this knob, like `--threads`, never changes a single
-//!   emitted byte.
+//!   emitted byte. `exp_churn` ignores it: its incremental census runs no
+//!   from-scratch census.
 //! * `--trial-batch N` (or `--trial-batch=N`) — run trial fan-outs through
 //!   the trial-batched (multispin) percolation engine, packing up to
 //!   `min(N, 64)` consecutive trials into one transposed bitset word per
@@ -35,13 +36,6 @@
 //!   to the scalar one — every emitted byte is the same for every `N` —
 //!   and the adversarial fault-model column always stays on the scalar
 //!   reference path.
-//! * `--rescan` — force a from-scratch component census at every churn
-//!   timestep instead of the incremental (rewindable union-find) engine.
-//!   Consumed by `exp_churn`; every other binary has no churn loop and
-//!   warns on stderr ([`ExpArgs::warn_rescan_ignored`]). The incremental
-//!   engine is bit-identical to the rescans — every emitted byte is the
-//!   same with and without the flag — so this knob only changes wall-clock
-//!   time (and serves CI as the equivalence cross-check).
 //! * `--markdown` — render the report as Markdown instead of plain text.
 //! * `--fault-model NAME` (or `--fault-model=NAME`) — select one named
 //!   fault model (`bernoulli-edges`, `bernoulli-nodes`,
@@ -109,10 +103,6 @@ pub struct ExpArgs {
     /// Trial-batch lane request: `0` (absent flag) = scalar engine,
     /// `N >= 1` = the multispin engine with `min(N, 64)` lanes per word.
     pub trial_batch: usize,
-    /// Whether `--rescan` was passed: force from-scratch per-timestep
-    /// censuses in the churn experiment instead of the incremental engine
-    /// (bit-identical output, different wall clock).
-    pub rescan: bool,
     /// Whether `--markdown` was passed.
     pub markdown: bool,
     /// The fault model selected with `--fault-model`, if any. `None` means
@@ -144,7 +134,6 @@ impl ExpArgs {
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
         let args: Vec<String> = args.into_iter().collect();
         let mut effort = Effort::Full;
-        let mut rescan = false;
         let mut markdown = false;
         let mut threads: usize = 0;
         // 1 = sequential census (the default); 0 = auto, resolved below.
@@ -163,7 +152,6 @@ impl ExpArgs {
         while i < args.len() {
             match args[i].as_str() {
                 "--quick" => effort = Effort::Quick,
-                "--rescan" => rescan = true,
                 "--markdown" => markdown = true,
                 "--threads" => {
                     let (value, consumed) = take_numeric_value(&args, i, "--threads", "using auto");
@@ -252,7 +240,6 @@ impl ExpArgs {
             threads: resolve_threads(threads),
             census_threads: resolve_census_threads(census_threads),
             trial_batch,
-            rescan,
             markdown,
             fault_model,
             trace,
@@ -358,20 +345,6 @@ impl ExpArgs {
             eprint!("{}", faultnet_obs::summary());
         }
     }
-
-    /// Warns on stderr when `--rescan` was passed to a binary without a
-    /// churn loop — there is no per-timestep census to force from scratch.
-    /// Mirrors [`ExpArgs::warn_fault_model_ignored`]: silently accepting
-    /// the flag would let a user believe the rescan cross-check ran when
-    /// nothing rescanned.
-    pub fn warn_rescan_ignored(&self, binary: &str) {
-        if self.rescan {
-            eprintln!(
-                "--rescan is ignored by {binary}; only exp_churn walks a \
-                 churn schedule with per-timestep censuses"
-            );
-        }
-    }
 }
 
 /// Resolves a requested thread count: `0` means "all available cores"
@@ -465,12 +438,19 @@ mod tests {
     fn unknown_and_malformed_arguments_do_not_abort() {
         let args = ExpArgs::parse(vec![
             "--bogus".into(),
+            "--rescan".into(),
             "--quick".into(),
             "--threads".into(),
             "lots".into(),
         ]);
         assert_eq!(args.effort, Effort::Quick);
         assert!(args.threads >= 1);
+        // A retired flag is just another unknown argument: every field
+        // keeps its default.
+        assert_eq!(
+            ExpArgs::parse(vec!["--rescan".into()]),
+            ExpArgs::parse(Vec::new())
+        );
     }
 
     #[test]
@@ -564,26 +544,6 @@ mod tests {
         assert!(args.markdown);
         let args = ExpArgs::parse(Vec::new());
         assert_eq!(args.fault_model, None);
-    }
-
-    #[test]
-    fn rescan_flag_forms() {
-        // Absent: the incremental engine.
-        assert!(!ExpArgs::parse(Vec::new()).rescan);
-        assert!(ExpArgs::parse(vec!["--rescan".into()]).rescan);
-        // A boolean flag: it must not swallow its neighbours.
-        let args = ExpArgs::parse(vec!["--rescan".into(), "--markdown".into()]);
-        assert!(args.rescan);
-        assert!(args.markdown);
-        // Orthogonal to the other knobs.
-        let args = ExpArgs::parse(vec![
-            "--quick".into(),
-            "--rescan".into(),
-            "--threads=2".into(),
-        ]);
-        assert_eq!(args.effort, Effort::Quick);
-        assert!(args.rescan);
-        assert_eq!(args.threads, 2);
     }
 
     #[test]

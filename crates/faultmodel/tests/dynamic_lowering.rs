@@ -8,7 +8,7 @@ use faultnet_faultmodel::{FaultModel, FaultModelSpec};
 use faultnet_percolation::dynamic::{EventKind, IncrementalCensus};
 use faultnet_percolation::sample::{EdgeStates, FrozenSample};
 use faultnet_percolation::PercolationConfig;
-use faultnet_topology::{hypercube::Hypercube, mesh::Mesh, Topology};
+use faultnet_topology::{hypercube::Hypercube, mesh::Mesh, Topology, VertexId};
 
 const TIMESTEPS: usize = 6;
 
@@ -101,32 +101,62 @@ fn every_lowering_emits_well_formed_events() {
     });
 }
 
+/// Walks `dynamic`'s schedule on `graph` through the incremental census and
+/// checks it against a from-scratch census after every step: the size
+/// distribution, the giant fraction, and whether the canonical pair shares
+/// a component (E12's "routable" column).
+fn assert_walk_matches_rescans(
+    graph: &dyn Topology,
+    dynamic: &dyn DynamicFaultModel,
+    config: PercolationConfig,
+    pair: Option<(VertexId, VertexId)>,
+    context: &str,
+) {
+    let (u, v) = graph.canonical_pair();
+    let initial = dynamic.initial(graph, config, pair);
+    let schedule = dynamic.schedule(graph, config, pair, &initial, TIMESTEPS);
+    let mut census = IncrementalCensus::new(graph, &initial);
+    for events in schedule.iter() {
+        census.step(events);
+        let scratch = census.rescan(graph);
+        assert_eq!(
+            census.sizes_descending(),
+            scratch.sizes_descending(),
+            "incremental census diverged from rescan: {context}"
+        );
+        assert_eq!(
+            census.giant_fraction(),
+            scratch.giant_fraction(),
+            "giant fraction diverged from rescan: {context}"
+        );
+        assert_eq!(
+            census.same_component(u, v),
+            scratch.same_component(u, v),
+            "canonical pair routability diverged from rescan: {context}"
+        );
+    }
+}
+
 /// The incremental census walks every lowering's schedule and stays in
 /// agreement with a from-scratch census — the zoo-wide tentpole contract,
 /// exercised here across the *model* registry rather than the topology zoo.
+/// E12's exact lowering (stationary-matched churn from p = 0.6 on the 2-d
+/// mesh, canonical pair pinned) is one more input.
 #[test]
 fn every_lowering_walks_through_the_incremental_census() {
     let cube = Hypercube::new(5);
     let config = PercolationConfig::new(0.6, 23);
     for_every_lowering(|dynamic, context| {
-        let initial = dynamic.initial(&cube, config, None);
-        let schedule = dynamic.schedule(&cube, config, None, &initial, TIMESTEPS);
-        let mut census = IncrementalCensus::new(&cube, &initial);
-        for events in schedule.iter() {
-            census.step(events);
-            let scratch = census.rescan(&cube);
-            assert_eq!(
-                census.sizes_descending(),
-                scratch.sizes_descending(),
-                "incremental census diverged from rescan: {context}"
-            );
-            assert_eq!(
-                census.giant_fraction(),
-                scratch.giant_fraction(),
-                "giant fraction diverged from rescan: {context}"
-            );
-        }
+        assert_walk_matches_rescans(&cube, dynamic, config, None, context);
     });
+    let mesh = Mesh::new(2, 12);
+    let pair = Some(mesh.canonical_pair());
+    for spec in FaultModelSpec::ALL {
+        let base = spec.build();
+        let e12 = Churned::new(&base, 0.04, 0.06).with_heterogeneity(0.5);
+        let context = format!("{spec} churned as in E12");
+        assert_walk_matches_rescans(&mesh, &e12, config, pair, &context);
+    }
 }
 
 /// `Resampled` is the memoryless baseline: replaying its diff schedule

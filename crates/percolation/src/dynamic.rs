@@ -30,19 +30,23 @@
 //!
 //! Union–find does not support true deletions; the incremental census
 //! simulates them by rewinding its undo log to just before the *earliest*
-//! deleted edge was applied and replaying the surviving suffix. Repairs and
-//! recently-applied failures are therefore near-free, while failing a very
-//! old edge would cost a deep rewind *plus* a near-full replay — twice the
-//! work of starting over. [`IncrementalCensus::step`] therefore tracks the
-//! rewind depth and, past the crossover pinned by
-//! [`IncrementalCensus::should_rebuild`] (`2 · suffix > survivors`), falls
-//! back to a from-scratch rebuild of the surviving edge list — never more
-//! than ≈ one rescan's worth of unions, and still cheaper than a true
-//! rescan (the rebuild walks an already-materialised edge list; a rescan
-//! re-queries every edge state and re-folds every vertex). The
-//! `census/incremental_vs_rescan` bench group records both the steady-state
-//! recent-churn costs and the uniform-churn case that previously inverted
-//! (incremental slower than `--rescan`) before the fallback existed.
+//! failed edge was applied and replaying the surviving suffix. Repairs and
+//! failures of recently applied edges are therefore near-free, while
+//! failing a very old edge would cost a deep rewind *plus* a near-full
+//! replay. [`IncrementalCensus::step`] finds the rewind depth by walking
+//! the log down from the top, and past the crossover pinned by
+//! [`IncrementalCensus::should_rebuild`] (`2 · suffix > survivors`) it
+//! rebuilds instead: it drops the failed edges from the application-ordered
+//! edge list in place and unions the survivors into a fresh structure. A
+//! rebuild is about one rescan's worth of unions, so it is not free, but
+//! it walks an already-materialised edge list where a rescan enumerates
+//! every neighbourhood and queries every edge state. On `H_14` at `p = 0.6`, a
+//! step of E12's uniform 4% churn (which always rebuilds) took 11.5–11.8 ms
+//! against 13.7–15.1 ms for a from-scratch rescan of the same state, and a
+//! sparse step on a few flaky links took 6.0–6.3 µs (perfbench
+//! `churn_walk`: `step_tail_ms`, `percolation.dynamic.rescan_ms` and
+//! `step_p50_ms`; 2-core VM). The `census/incremental_vs_rescan` bench
+//! group records both regimes against mirrored rescans.
 
 use std::collections::{HashMap, HashSet};
 
@@ -368,8 +372,8 @@ pub struct IncrementalCensus {
     /// The open edges, in application order. Invariant: undo-log position
     /// `i` of `uf` is the state just before `applied[i]` was unioned.
     applied: Vec<EdgeId>,
-    /// Position of each open edge in `applied`.
-    pos: HashMap<EdgeId, usize>,
+    /// The members of `applied`; only net fail/repair events touch it.
+    open: HashSet<EdgeId>,
 }
 
 impl IncrementalCensus {
@@ -386,7 +390,7 @@ impl IncrementalCensus {
             num_vertices: n,
             uf: RewindableUnionFind::new(n as usize),
             applied: Vec::new(),
-            pos: HashMap::new(),
+            open: HashSet::new(),
         };
         for v in graph.vertices() {
             for w in graph.neighbors(v) {
@@ -395,6 +399,7 @@ impl IncrementalCensus {
                 }
             }
         }
+        census.open = census.applied.iter().copied().collect();
         census
     }
 
@@ -413,12 +418,12 @@ impl IncrementalCensus {
         let mut to_remove: HashSet<EdgeId> = HashSet::new();
         let mut to_add: Vec<EdgeId> = Vec::new();
         for edge in touched {
-            match (self.pos.contains_key(&edge), desired[&edge]) {
-                (true, false) => {
-                    to_remove.insert(edge);
+            if desired[&edge] {
+                if self.open.insert(edge) {
+                    to_add.push(edge);
                 }
-                (false, true) => to_add.push(edge),
-                _ => {}
+            } else if self.open.remove(&edge) {
+                to_remove.insert(edge);
             }
         }
         let mut stats = StepStats {
@@ -427,31 +432,30 @@ impl IncrementalCensus {
             ..StepStats::default()
         };
         if !to_remove.is_empty() {
-            let mark = to_remove
-                .iter()
-                .map(|e| self.pos[e])
-                .min()
-                .expect("to_remove is non-empty");
-            let suffix_len = self.applied.len() - mark;
+            // The rewind mark is the position of the earliest failed edge:
+            // walk the log down from the top until every failed edge has
+            // been seen, or until the suffix is already past the rebuild
+            // crossover (it can only grow from there).
             let survivors = self.applied.len() - to_remove.len();
+            let mut mark = self.applied.len();
+            let mut unseen = to_remove.len();
+            while unseen > 0 && !Self::should_rebuild(self.applied.len() - mark, survivors) {
+                mark -= 1;
+                unseen -= usize::from(to_remove.contains(&self.applied[mark]));
+            }
+            let suffix_len = self.applied.len() - mark;
             if Self::should_rebuild(suffix_len, survivors) {
                 // The earliest failed edge sits so deep in the undo log that
                 // unwinding to it (and replaying nearly everything) costs
                 // more than starting over: rebuild a fresh structure from
-                // the surviving edges, in their original application order.
+                // the surviving edges, in their original application order
+                // (so later shallow failures stay shallow).
                 stats.rebuilt = true;
                 stats.replayed = survivors;
-                let surviving: Vec<EdgeId> = self
-                    .applied
-                    .iter()
-                    .copied()
-                    .filter(|e| !to_remove.contains(e))
-                    .collect();
+                self.applied.retain(|e| !to_remove.contains(e));
                 self.uf = RewindableUnionFind::new(self.num_vertices as usize);
-                self.applied.clear();
-                self.pos.clear();
-                for edge in surviving {
-                    self.apply(edge);
+                for edge in &self.applied {
+                    self.uf.union(edge.lo().0 as usize, edge.hi().0 as usize);
                 }
             } else {
                 // Rewind to just before the earliest removed edge was
@@ -459,11 +463,7 @@ impl IncrementalCensus {
                 // order.
                 stats.rewound = suffix_len;
                 self.uf.rewind_to(mark);
-                let suffix = self.applied.split_off(mark);
-                for edge in &suffix {
-                    self.pos.remove(edge);
-                }
-                for edge in suffix {
+                for edge in self.applied.split_off(mark) {
                     if !to_remove.contains(&edge) {
                         self.apply(edge);
                         stats.replayed += 1;
@@ -504,7 +504,7 @@ impl IncrementalCensus {
 
     /// Returns `true` if `edge` is currently open.
     pub fn is_open(&self, edge: EdgeId) -> bool {
-        self.pos.contains_key(&edge)
+        self.open.contains(&edge)
     }
 
     /// Number of connected components (isolated vertices count).
@@ -580,27 +580,27 @@ impl IncrementalCensus {
             .collect()
     }
 
-    /// Decides whether a failure step should fall back to a from-scratch
-    /// rebuild instead of rewinding the undo log.
+    /// Decides whether a failure step should rebuild from the surviving
+    /// edges instead of rewinding the undo log.
     ///
     /// A rewind step unwinds `suffix_len` undo records and then re-unions
     /// the surviving part of the suffix (≈ `suffix_len` more operations of
     /// the same magnitude), so its cost is ≈ `2 · suffix_len`. A rebuild
     /// applies every surviving edge once (`survivors` unions) plus an O(V)
     /// array reset. The crossover is therefore at `suffix_len ≈
-    /// survivors / 2`: past it, unwinding is strictly more pointer-chasing
-    /// than starting over, which is exactly the inversion the E12 uniform
-    /// churn exhibited (failures land uniformly over the open set, so the
-    /// earliest one sits near the bottom of the log and every step replayed
-    /// almost everything — twice). Both paths produce identical partitions
-    /// on every public accessor (canonical min-vertex labels), so this is a
-    /// pure wall-clock decision; the crossover itself is pinned by test.
+    /// survivors / 2`. E12's uniform churn lands far past it: failures
+    /// spread over the whole open set, so the earliest one sits near the
+    /// bottom of the log. Such a step rebuilds, and on `H_14` it took
+    /// 11.5–11.8 ms against 13.7–15.1 ms for a from-scratch rescan
+    /// (perfbench `churn_walk`, 2-core VM). Both paths produce identical
+    /// partitions on every public accessor (canonical min-vertex labels),
+    /// so this is a pure wall-clock decision; the crossover itself is
+    /// pinned by test.
     pub fn should_rebuild(suffix_len: usize, survivors: usize) -> bool {
         2 * suffix_len > survivors
     }
 
     fn apply(&mut self, edge: EdgeId) {
-        self.pos.insert(edge, self.applied.len());
         self.applied.push(edge);
         self.uf.union(edge.lo().0 as usize, edge.hi().0 as usize);
     }
