@@ -265,6 +265,88 @@ mod tests {
         assert!(report.render_markdown().contains("### E12"));
     }
 
+    /// The deleted from-scratch engine, kept as the test oracle: apply each
+    /// timestep's events to an open-edge set and run a full census.
+    fn rescan_series(
+        graph: &(dyn Topology + Sync),
+        dynamic: &(dyn DynamicFaultModel + Sync),
+        p: f64,
+        seed: u64,
+        timesteps: usize,
+    ) -> TrialSeries {
+        use faultnet_percolation::components::ComponentCensus;
+        use faultnet_percolation::dynamic::EventKind;
+        use faultnet_percolation::sample::FrozenSample;
+        use faultnet_percolation::EdgeStates;
+
+        let pair = graph.canonical_pair();
+        let config = PercolationConfig::new(p, seed);
+        let initial = dynamic.initial(graph, config, Some(pair));
+        let schedule = dynamic.schedule(graph, config, Some(pair), &initial, timesteps);
+        let mut open = FrozenSample::from_open_edges(
+            graph.edges().into_iter().filter(|e| initial.is_open(*e)),
+        );
+        let census = ComponentCensus::compute(graph, &open);
+        let mut series = vec![(
+            0,
+            census.giant_fraction(),
+            census.same_component(pair.0, pair.1),
+        )];
+        for events in schedule.iter() {
+            for event in events {
+                match event.kind {
+                    EventKind::Fail => open.close_edge(event.edge),
+                    EventKind::Repair => open.open_edge(event.edge),
+                };
+            }
+            let census = ComponentCensus::compute(graph, &open);
+            series.push((
+                events.len(),
+                census.giant_fraction(),
+                census.same_component(pair.0, pair.1),
+            ));
+        }
+        series
+    }
+
+    #[test]
+    fn rescan_engine_is_byte_identical_to_incremental() {
+        // Every number E12 reports comes from `trial_series`; a from-scratch
+        // census per timestep must reproduce each of them bit for bit, on
+        // both quick families and for a churned base model other than
+        // Bernoulli edges.
+        let experiment = ChurnExperiment::quick();
+        let families: [Box<dyn Topology + Sync>; 2] = [
+            Box::new(Hypercube::new(experiment.cube_dimensions[0])),
+            Box::new(Mesh::new(2, experiment.mesh_side)),
+        ];
+        for model in [
+            FaultModelSpec::BernoulliEdges,
+            FaultModelSpec::BernoulliNodes,
+        ] {
+            let base = model.build();
+            let dynamic = Churned::new(&base, experiment.fail_rate, experiment.repair_rate)
+                .with_heterogeneity(experiment.heterogeneity);
+            for family in &families {
+                for t in 0..experiment.trials as u64 {
+                    let seed = experiment.base_seed.wrapping_add(t);
+                    let (p, steps) = (experiment.p, experiment.timesteps);
+                    let incremental = trial_series(&**family, &dynamic, p, seed, steps);
+                    let rescan = rescan_series(&**family, &dynamic, p, seed, steps);
+                    let bits = |s: &TrialSeries| -> Vec<(usize, u64, bool)> {
+                        s.iter().map(|&(e, g, r)| (e, g.to_bits(), r)).collect()
+                    };
+                    assert_eq!(
+                        bits(&incremental),
+                        bits(&rescan),
+                        "{model} on {} seed {seed}",
+                        family.name()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn report_is_byte_identical_across_thread_counts() {
         let baseline = ChurnExperiment::quick().run().render();

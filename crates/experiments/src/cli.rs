@@ -547,6 +547,29 @@ mod tests {
     }
 
     #[test]
+    fn rescan_flag_forms() {
+        // `--rescan` is retired: in every form it used to take it is an
+        // unknown argument that changes no field.
+        let defaults = ExpArgs::parse(Vec::new());
+        assert_eq!(ExpArgs::parse(vec!["--rescan".into()]), defaults);
+        // It still must not swallow its neighbours.
+        let args = ExpArgs::parse(vec!["--rescan".into(), "--markdown".into()]);
+        assert_eq!(args, ExpArgs::parse(vec!["--markdown".into()]));
+        assert!(args.markdown);
+        let args = ExpArgs::parse(vec![
+            "--quick".into(),
+            "--rescan".into(),
+            "--threads=2".into(),
+        ]);
+        assert_eq!(args.effort, Effort::Quick);
+        assert_eq!(args.threads, 2);
+        assert_eq!(
+            args,
+            ExpArgs::parse(vec!["--quick".into(), "--threads=2".into()])
+        );
+    }
+
+    #[test]
     fn trace_flag_forms() {
         // Absent: no trace file, no summary — obs stays off.
         let args = ExpArgs::parse(Vec::new());
