@@ -236,8 +236,8 @@ fn bench_uniform_churn(c: &mut Criterion) {
 /// early-exiting BFS (`exec.census_threads == 1`) vs a whole census on one
 /// or two workers, on the instance the harness actually routes over (a
 /// Bernoulli-edge `FaultInstance`, lazily hashed). With a giant component
-/// (p = 0.5) the BFS must chase most of the graph through its visited map
-/// while the census scans edges in order; below the `1/n` threshold
+/// (p = 0.5) the BFS must chase most of the graph while the census scans
+/// edges in order; below the `1/n` threshold
 /// (H₁₆ at p = 0.05) `u`'s component is tiny, the BFS stops at once, and a
 /// census still touches every edge. The case names read
 /// `<check>/<n>@<p>`.

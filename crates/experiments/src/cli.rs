@@ -19,8 +19,8 @@
 //!   the `census` bench target, p = 0.5, 2-core VM: H₈ 22 µs sequential
 //!   vs 85 µs on two workers, a tie at H₁₀, H₁₄ 4.2 ms vs 3.0 ms). On a
 //!   single routing instance the flag also swaps the early-exiting BFS
-//!   conditioning check for a census, which only pays with a giant
-//!   component (see `ComplexityHarness::measure`). The parallel census is
+//!   conditioning check for a census, which is slower at every measured
+//!   point (see `ComplexityHarness::measure`). The parallel census is
 //!   bit-identical to the sequential one (canonical min-vertex component
 //!   labels), so this knob, like `--threads`, never changes a single
 //!   emitted byte. `exp_churn` ignores it: its incremental census runs no

@@ -5,8 +5,9 @@
 //! routers in `faultnet-routing` are validated.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::ControlFlow;
 
-use faultnet_topology::{Topology, VertexId};
+use faultnet_topology::{EdgeId, Topology, VertexId};
 
 use crate::sample::EdgeStates;
 use crate::subgraph::PercolatedGraph;
@@ -90,7 +91,7 @@ pub struct BfsOptions {
 }
 
 /// Runs a BFS from `source` in the open subgraph of `graph`.
-pub fn bfs<T: Topology, S: EdgeStates>(
+pub fn bfs<T: Topology + ?Sized, S: EdgeStates>(
     graph: &T,
     states: &S,
     source: VertexId,
@@ -181,13 +182,49 @@ pub fn shortest_open_path<T: Topology, S: EdgeStates>(
 
 /// Returns `true` if `u` and `v` are connected by an open path (the paper's
 /// event `{u ∼ v}`).
-pub fn connected<T: Topology, S: EdgeStates>(
+///
+/// The scalar conditioning check, so it keeps no tree: a breadth-first
+/// search over a dense visited bitset (`n / 8` bytes, zero-allocated per
+/// call) that tests the mark before the edge state, walks neighbors through
+/// [`Topology::for_each_neighbor`], and stops as soon as it reaches `v`.
+pub fn connected<T: Topology + ?Sized, S: EdgeStates>(
     graph: &T,
     states: &S,
     u: VertexId,
     v: VertexId,
 ) -> bool {
-    percolation_distance(graph, states, u, v).is_some()
+    if u == v {
+        return true;
+    }
+    let mut visited = vec![0u64; (graph.num_vertices() as usize).div_ceil(64)];
+    visited[(u.0 / 64) as usize] |= 1 << (u.0 % 64);
+    let mut queue = VecDeque::from([u]);
+    // Same counters as `bfs`, reported once per call.
+    let mut pops = 0u64;
+    let found = loop {
+        let Some(x) = queue.pop_front() else {
+            break false;
+        };
+        pops += 1;
+        let flow = graph.for_each_neighbor(x, &mut |w| {
+            let (word, bit) = ((w.0 / 64) as usize, 1u64 << (w.0 % 64));
+            if visited[word] & bit != 0 || !states.is_open(EdgeId::new(x, w)) {
+                return ControlFlow::Continue(());
+            }
+            if w == v {
+                return ControlFlow::Break(());
+            }
+            visited[word] |= bit;
+            queue.push_back(w);
+            ControlFlow::Continue(())
+        });
+        if flow.is_break() {
+            break true;
+        }
+    };
+    faultnet_obs::count("percolation.bfs.calls", 1);
+    faultnet_obs::count("percolation.bfs.visits", pops);
+    found
 }
 
 /// The set of vertices within open distance `radius` of `center` (an open

@@ -24,12 +24,12 @@ use crate::sample::EdgeStates;
 /// assert!(open_deg <= cube.degree(VertexId(0)));
 /// ```
 #[derive(Debug, Clone, Copy)]
-pub struct PercolatedGraph<'a, T, S> {
+pub struct PercolatedGraph<'a, T: ?Sized, S> {
     graph: &'a T,
     states: &'a S,
 }
 
-impl<'a, T: Topology, S: EdgeStates> PercolatedGraph<'a, T, S> {
+impl<'a, T: Topology + ?Sized, S: EdgeStates> PercolatedGraph<'a, T, S> {
     /// Wraps a topology and an edge-state oracle.
     pub fn new(graph: &'a T, states: &'a S) -> Self {
         PercolatedGraph { graph, states }

@@ -39,6 +39,7 @@
 //! answer, just slower.
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 use faultnet_topology::{EdgeId, Topology, VertexId};
 
@@ -272,17 +273,21 @@ impl<'g, T: Topology + ?Sized> TrialBatch<'g, T> {
             while let Some(x) = queue.pop_front() {
                 pops += 1;
                 let from = reached[x.0 as usize];
-                for w in self.graph.neighbors(x) {
+                let flow = self.graph.for_each_neighbor(x, &mut |w| {
                     let advanced =
                         from & self.edge_word(EdgeId::new(x, w)) & !reached[w.0 as usize];
                     if advanced != 0 {
                         advances += 1;
                         reached[w.0 as usize] |= advanced;
                         if reached[v.0 as usize] == mask {
-                            break 'fixpoint mask;
+                            return ControlFlow::Break(());
                         }
                         queue.push_back(w);
                     }
+                    ControlFlow::Continue(())
+                });
+                if flow.is_break() {
+                    break 'fixpoint mask;
                 }
             }
             reached[v.0 as usize]

@@ -1,7 +1,7 @@
 //! Property-based tests for the percolation substrate.
 
 use faultnet_percolation::{
-    bfs::{bfs, percolation_distance, shortest_open_path, BfsOptions},
+    bfs::{bfs, connected, percolation_distance, shortest_open_path, BfsOptions},
     branching::{root_to_leaf_probability, survival_probability},
     components::ComponentCensus,
     sample::{BitsetSample, EdgeStates, FrozenSample, SampleBackend},
@@ -174,6 +174,33 @@ proptest! {
             let gp = PercolatedGraph::new(&mesh, &sampler);
             prop_assert!(gp.is_open_path(&path));
             prop_assert_eq!(path.len() as u64, d + 1);
+        }
+    }
+
+    #[test]
+    fn connected_agrees_with_the_bfs_tree_on_every_family(
+        p in 0.0f64..1.0,
+        seed in any::<u64>(),
+        a in any::<u64>(),
+        b in any::<u64>(),
+    ) {
+        // The early-exit conditioning BFS (dense visited bitset, mark tested
+        // before the edge state) answers exactly what a full BFS tree says,
+        // for the canonical pair and for an arbitrary one.
+        let sampler = PercolationConfig::new(p, seed).sampler();
+        for graph in family_zoo() {
+            let graph = graph.as_ref();
+            let n = graph.num_vertices();
+            for (u, v) in [graph.canonical_pair(), (VertexId(a % n), VertexId(b % n))] {
+                let tree = bfs(graph, &sampler, u, BfsOptions::default());
+                prop_assert!(
+                    connected(graph, &sampler, u, v) == tree.reached(v),
+                    "connected({}, {}) disagrees with bfs on {}",
+                    u,
+                    v,
+                    graph.name()
+                );
+            }
         }
     }
 

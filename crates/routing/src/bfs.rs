@@ -12,6 +12,7 @@
 //! breadth-first trees from both endpoints, always expanding the smaller one.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::ControlFlow;
 
 use faultnet_percolation::sample::EdgeStates;
 use faultnet_topology::{Topology, VertexId};
@@ -25,6 +26,11 @@ use crate::router::{Locality, RouteError, RouteOutcome, Router};
 /// Works on every topology; finds a shortest open path whenever one exists,
 /// at the cost of probing every edge incident to the source's open component
 /// (in the worst case).
+///
+/// The search keeps one dense parent array (`parent[w] = x + 1` once `w` is
+/// discovered from `x`, `0` while undiscovered). It is zero-allocated, so a
+/// large array arrives as lazily zeroed pages and a flood that stays small
+/// touches only the pages it reaches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FloodRouter;
 
@@ -57,28 +63,42 @@ impl<T: Topology, S: EdgeStates> Router<T, S> for FloodRouter {
             ));
         }
         let graph = engine.graph();
-        let mut parent: HashMap<VertexId, VertexId> = HashMap::new();
-        let mut visited: HashMap<VertexId, ()> = HashMap::new();
-        visited.insert(source, ());
+        let mut parent = vec![0u64; graph.num_vertices() as usize];
+        parent[source.0 as usize] = source.0 + 1;
         let mut queue = VecDeque::from([source]);
         while let Some(v) = queue.pop_front() {
-            for w in graph.neighbors(v) {
-                if visited.contains_key(&w) {
-                    continue;
+            let mut probe_error = None;
+            let flow = graph.for_each_neighbor(v, &mut |w| {
+                if parent[w.0 as usize] != 0 {
+                    return ControlFlow::Continue(());
                 }
-                let open = engine.probe_between(v, w)?;
-                if !open {
-                    continue;
+                match engine.probe_between(v, w) {
+                    Ok(true) => {}
+                    Ok(false) => return ControlFlow::Continue(()),
+                    Err(e) => {
+                        probe_error = Some(e);
+                        return ControlFlow::Break(());
+                    }
                 }
-                visited.insert(w, ());
-                parent.insert(w, v);
+                parent[w.0 as usize] = v.0 + 1;
                 if w == target {
-                    return Ok(RouteOutcome::from_engine(
-                        engine,
-                        Some(reconstruct(&parent, source, target)),
-                    ));
+                    return ControlFlow::Break(());
                 }
                 queue.push_back(w);
+                ControlFlow::Continue(())
+            });
+            if let Some(e) = probe_error {
+                return Err(e.into());
+            }
+            if flow.is_break() {
+                let mut vertices = vec![target];
+                let mut cur = target;
+                while cur != source {
+                    cur = VertexId(parent[cur.0 as usize] - 1);
+                    vertices.push(cur);
+                }
+                vertices.reverse();
+                return Ok(RouteOutcome::from_engine(engine, Some(Path::new(vertices))));
             }
         }
         Ok(RouteOutcome::from_engine(engine, None))
@@ -171,17 +191,6 @@ impl<T: Topology, S: EdgeStates> Router<T, S> for BidirectionalOracleBfs {
             }
         }
     }
-}
-
-fn reconstruct(parent: &HashMap<VertexId, VertexId>, source: VertexId, target: VertexId) -> Path {
-    let mut vertices = vec![target];
-    let mut cur = target;
-    while cur != source {
-        cur = parent[&cur];
-        vertices.push(cur);
-    }
-    vertices.reverse();
-    Path::new(vertices)
 }
 
 /// Joins the source-side chain ending at one endpoint of the bridging edge

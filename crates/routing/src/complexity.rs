@@ -333,17 +333,16 @@ impl<T: Topology> ComplexityHarness<T> {
     ///   conditioning for the whole chunk with
     ///   [`TrialBatch::connected_lanes`];
     /// * on a single instance, `exec.census_threads > 1` checks `{u ∼ v}`
-    ///   with [`ComponentCensus::compute_parallel`] instead of an
-    ///   early-exiting BFS. Which is faster depends on the side of the
-    ///   giant threshold, not on graph size. The BFS stops once `u`'s
-    ///   component is exhausted, so below `1/n` it touches a handful of
-    ///   edges where a census scans all of them: H₁₆ at p = 0.05 takes
-    ///   1.3 µs by BFS vs 13.4 ms by sequential census. With a giant
-    ///   component the BFS chases most of the graph through its visited
-    ///   map while the census scans edges in order, and the census wins
-    ///   by 2–3×: H₁₄ at p = 0.5 takes 9.9 ms by BFS vs 4.2 ms by
-    ///   sequential census (`conditioning/bfs_vs_census` in the `census`
-    ///   bench target, release build, 2-core VM).
+    ///   with [`ComponentCensus::compute_parallel`] instead of the
+    ///   early-exiting BFS [`connected`]. The BFS is faster at every
+    ///   measured point. Below `1/n` it stops once `u`'s small component
+    ///   is exhausted, where a census scans every edge: H₁₆ at p = 0.05
+    ///   takes 0.9 µs by BFS vs 16.5 ms by sequential census. With a
+    ///   giant component it chases most of the graph over a dense visited
+    ///   bitset and still wins: H₁₄ at p = 0.5 takes 1.3 ms by BFS vs
+    ///   4.6 ms by sequential census and 2.9 ms on two census workers
+    ///   (`conditioning/bfs_vs_census` in the `census` bench target,
+    ///   release build, 2-core VM).
     ///
     /// For every `exec`, the result equals
     /// [`ComplexityHarness::measure_with_model`] — every counter and the

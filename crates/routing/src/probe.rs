@@ -12,9 +12,16 @@
 //!   the start vertex by a path of previously-probed open edges,
 //! * optionally enforces a probe **budget**, so lower-bound experiments can
 //!   stop an exponential search without running it to completion.
+//!
+//! Every flood probe passes through here, so the engine keeps its per-probe
+//! work to bit reads and one hash: the reached set of a local engine is a
+//! dense per-vertex bitset, and the probe cache is an `EdgeId → bool` map
+//! under a fixed multiplicative hasher rather than SipHash.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use faultnet_percolation::sample::EdgeStates;
 use faultnet_topology::{EdgeId, Topology, VertexId};
@@ -58,6 +65,40 @@ impl fmt::Display for ProbeError {
 
 impl std::error::Error for ProbeError {}
 
+/// A fixed multiplicative hasher for the probe cache (the Fx construction
+/// with a final rotation, so the low bits a hash table indexes by are well
+/// mixed).
+///
+/// It has no per-process key, so it offers no protection against chosen
+/// keys. That is safe here: the cache's keys are edges of a topology the
+/// program built itself, never bytes from a request.
+#[derive(Debug, Clone, Copy, Default)]
+struct EdgeHasher {
+    hash: u64,
+}
+
+impl EdgeHasher {
+    const MULTIPLIER: u64 = 0xf135_7aea_2e62_a9c5;
+}
+
+impl Hasher for EdgeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.hash = self.hash.wrapping_add(word).wrapping_mul(Self::MULTIPLIER);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
 /// Metered access to the open/closed state of edges of one percolation
 /// instance.
 ///
@@ -80,7 +121,7 @@ impl std::error::Error for ProbeError {}
 pub struct ProbeEngine<'a, T, S> {
     graph: &'a T,
     states: &'a S,
-    cache: HashMap<EdgeId, bool>,
+    cache: HashMap<EdgeId, bool, BuildHasherDefault<EdgeHasher>>,
     queries: u64,
     budget: Option<u64>,
     locality: Option<LocalityState>,
@@ -89,7 +130,36 @@ pub struct ProbeEngine<'a, T, S> {
 #[derive(Debug, Clone)]
 struct LocalityState {
     start: VertexId,
-    reached: HashSet<VertexId>,
+    /// Bit `v` is set once `v` is reached; `n / 8` bytes, zero-allocated.
+    reached: Vec<u64>,
+    num_reached: usize,
+}
+
+impl LocalityState {
+    fn new(num_vertices: u64, start: VertexId) -> Self {
+        let mut state = LocalityState {
+            start,
+            reached: vec![0; (num_vertices as usize).div_ceil(64)],
+            num_reached: 1,
+        };
+        if let Some(word) = state.reached.get_mut((start.0 / 64) as usize) {
+            *word |= 1 << (start.0 % 64);
+        }
+        state
+    }
+
+    /// Whether `v` is reached; `false` outside the vertex range.
+    fn contains(&self, v: VertexId) -> bool {
+        self.reached
+            .get((v.0 / 64) as usize)
+            .is_some_and(|word| word >> (v.0 % 64) & 1 == 1)
+    }
+
+    /// Marks an in-range vertex reached.
+    fn insert(&mut self, v: VertexId) {
+        self.reached[(v.0 / 64) as usize] |= 1 << (v.0 % 64);
+        self.num_reached += 1;
+    }
 }
 
 impl<'a, T: Topology, S: EdgeStates> ProbeEngine<'a, T, S> {
@@ -99,7 +169,7 @@ impl<'a, T: Topology, S: EdgeStates> ProbeEngine<'a, T, S> {
         ProbeEngine {
             graph,
             states,
-            cache: HashMap::new(),
+            cache: HashMap::default(),
             queries: 0,
             budget: None,
             locality: None,
@@ -110,15 +180,9 @@ impl<'a, T: Topology, S: EdgeStates> ProbeEngine<'a, T, S> {
     /// only if one endpoint of the edge has already been reached from
     /// `start` through probed open edges (Definition 1).
     pub fn local(graph: &'a T, states: &'a S, start: VertexId) -> Self {
-        let mut reached = HashSet::new();
-        reached.insert(start);
         ProbeEngine {
-            graph,
-            states,
-            cache: HashMap::new(),
-            queries: 0,
-            budget: None,
-            locality: Some(LocalityState { start, reached }),
+            locality: Some(LocalityState::new(graph.num_vertices(), start)),
+            ..ProbeEngine::oracle(graph, states)
         }
     }
 
@@ -184,24 +248,25 @@ impl<'a, T: Topology, S: EdgeStates> ProbeEngine<'a, T, S> {
             return Err(ProbeError::NotAnEdge { edge });
         }
         if let Some(local) = &self.locality {
-            if !local.reached.contains(&edge.lo()) && !local.reached.contains(&edge.hi()) {
+            if !local.contains(edge.lo()) && !local.contains(edge.hi()) {
                 return Err(ProbeError::LocalityViolation { edge });
             }
         }
         self.queries += 1;
-        if let Some(&cached) = self.cache.get(&edge) {
+        let probed = self.cache.len() as u64;
+        let open = match self.cache.entry(edge) {
             // A repeated query costs nothing new: the algorithm already knows
             // the answer, so only bookkeeping happens here.
-            self.note_open_edge(edge, cached);
-            return Ok(cached);
-        }
-        if let Some(budget) = self.budget {
-            if self.cache.len() as u64 >= budget {
-                return Err(ProbeError::BudgetExhausted { budget });
+            Entry::Occupied(cached) => *cached.get(),
+            Entry::Vacant(slot) => {
+                if let Some(budget) = self.budget {
+                    if probed >= budget {
+                        return Err(ProbeError::BudgetExhausted { budget });
+                    }
+                }
+                *slot.insert(self.states.is_open(edge))
             }
-        }
-        let open = self.states.is_open(edge);
-        self.cache.insert(edge, open);
+        };
         self.note_open_edge(edge, open);
         Ok(open)
     }
@@ -215,17 +280,17 @@ impl<'a, T: Topology, S: EdgeStates> ProbeEngine<'a, T, S> {
         self.probe(EdgeId::new(a, b))
     }
 
-    /// The set of vertices currently reached from the start vertex (local
-    /// engines only).
-    pub fn reached(&self) -> Option<&HashSet<VertexId>> {
-        self.locality.as_ref().map(|l| &l.reached)
+    /// Number of vertices currently reached from the start vertex, the
+    /// start included (local engines only).
+    pub fn num_reached(&self) -> Option<usize> {
+        self.locality.as_ref().map(|l| l.num_reached)
     }
 
     /// Returns `true` if `v` has been reached from the start vertex. Oracle
     /// engines return `true` for every vertex (they have no restriction).
     pub fn is_reached(&self, v: VertexId) -> bool {
         match &self.locality {
-            Some(local) => local.reached.contains(&v),
+            Some(local) => local.contains(v),
             None => true,
         }
     }
@@ -240,12 +305,12 @@ impl<'a, T: Topology, S: EdgeStates> ProbeEngine<'a, T, S> {
             return;
         }
         if let Some(local) = &mut self.locality {
-            let lo_in = local.reached.contains(&edge.lo());
-            let hi_in = local.reached.contains(&edge.hi());
+            let lo_in = local.contains(edge.lo());
+            let hi_in = local.contains(edge.hi());
             if lo_in && !hi_in {
-                local.reached.insert(edge.hi());
+                local.insert(edge.hi());
             } else if hi_in && !lo_in {
-                local.reached.insert(edge.lo());
+                local.insert(edge.lo());
             }
         }
     }
@@ -302,7 +367,7 @@ mod tests {
         assert!(engine.is_reached(VertexId(1)));
         assert!(engine.probe_between(VertexId(1), VertexId(2)).unwrap());
         assert!(engine.probe_between(VertexId(2), VertexId(3)).unwrap());
-        assert_eq!(engine.reached().unwrap().len(), 4);
+        assert_eq!(engine.num_reached(), Some(4));
         assert_eq!(engine.start(), Some(VertexId(0)));
         assert_eq!(engine.locality(), Locality::Local);
     }

@@ -9,6 +9,8 @@
 //! Vertices use 1-based heap indices shifted down by one: the root is id `0`
 //! and node `v` has children `2v + 1` and `2v + 2`.
 
+use std::ops::ControlFlow;
+
 use crate::{EdgeId, Topology, VertexId};
 
 /// A complete rooted binary tree of the given depth (`2^{depth+1} - 1`
@@ -121,16 +123,24 @@ impl Topology for BinaryTree {
     }
 
     fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
+        crate::collect_neighbors(self, v)
+    }
+
+    #[inline]
+    fn for_each_neighbor(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(VertexId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         assert!(self.contains(v), "vertex {v} out of range");
-        let mut out = Vec::with_capacity(3);
         if let Some(p) = self.parent(v) {
-            out.push(p);
+            f(p)?;
         }
         if let Some((a, b)) = self.children(v) {
-            out.push(a);
-            out.push(b);
+            f(a)?;
+            f(b)?;
         }
-        out
+        ControlFlow::Continue(())
     }
 
     fn max_degree(&self) -> usize {

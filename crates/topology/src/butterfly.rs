@@ -9,6 +9,8 @@
 //!
 //! Vertex ids encode `(level, row)` as `level * 2^n + row`.
 
+use std::ops::ControlFlow;
+
 use crate::{EdgeId, Topology, VertexId};
 
 /// The unwrapped butterfly with `n+1` levels of `2^n` rows each.
@@ -84,19 +86,27 @@ impl Topology for Butterfly {
     }
 
     fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
+        crate::collect_neighbors(self, v)
+    }
+
+    #[inline]
+    fn for_each_neighbor(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(VertexId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let (level, row) = self.level_row(v);
-        let mut out = Vec::with_capacity(4);
         if level > 0 {
             let bit = 1u64 << (level - 1);
-            out.push(self.vertex_at(level - 1, row));
-            out.push(self.vertex_at(level - 1, row ^ bit));
+            f(self.vertex_at(level - 1, row))?;
+            f(self.vertex_at(level - 1, row ^ bit))?;
         }
         if level < self.dimension {
             let bit = 1u64 << level;
-            out.push(self.vertex_at(level + 1, row));
-            out.push(self.vertex_at(level + 1, row ^ bit));
+            f(self.vertex_at(level + 1, row))?;
+            f(self.vertex_at(level + 1, row ^ bit))?;
         }
-        out
+        ControlFlow::Continue(())
     }
 
     fn max_degree(&self) -> usize {

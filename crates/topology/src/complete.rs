@@ -6,6 +6,8 @@
 //! contrast the `Ω(n²)` complexity of local routing with the `Θ(n^{3/2})`
 //! complexity of oracle routing on this graph.
 
+use std::ops::ControlFlow;
+
 use crate::{EdgeId, Topology, VertexId};
 
 /// The complete graph on `n` vertices.
@@ -53,11 +55,20 @@ impl Topology for CompleteGraph {
     }
 
     fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
+        crate::collect_neighbors(self, v)
+    }
+
+    #[inline]
+    fn for_each_neighbor(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(VertexId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         assert!(self.contains(v), "vertex {v} out of range");
-        (0..self.order)
-            .filter(|&w| w != v.0)
-            .map(VertexId)
-            .collect()
+        for w in (0..self.order).filter(|&w| w != v.0) {
+            f(VertexId(w))?;
+        }
+        ControlFlow::Continue(())
     }
 
     fn degree(&self, _v: VertexId) -> usize {

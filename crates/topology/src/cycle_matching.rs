@@ -12,6 +12,8 @@
 //! an internal SplitMix64 shuffle, so the topology stays a pure function of
 //! its parameters.
 
+use std::ops::ControlFlow;
+
 use crate::{splitmix64, EdgeId, Topology, VertexId};
 
 /// How the matching chords of a [`CycleWithMatching`] are chosen.
@@ -127,14 +129,24 @@ impl Topology for CycleWithMatching {
     }
 
     fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
+        crate::collect_neighbors(self, v)
+    }
+
+    #[inline]
+    fn for_each_neighbor(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(VertexId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         assert!(self.contains(v), "vertex {v} out of range");
         let (prev, next) = self.cycle_neighbors(v);
         let chord = self.partner(v);
-        let mut out = vec![prev, next];
+        f(prev)?;
+        f(next)?;
         if chord != prev && chord != next && chord != v {
-            out.push(chord);
+            f(chord)?;
         }
-        out
+        ControlFlow::Continue(())
     }
 
     fn max_degree(&self) -> usize {

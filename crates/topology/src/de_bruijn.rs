@@ -7,6 +7,8 @@
 //! questions (§6): does the routing phase transition coincide with the
 //! percolation phase transition on such graphs?
 
+use std::ops::ControlFlow;
+
 use crate::{EdgeId, Topology, VertexId};
 
 /// The undirected de Bruijn graph on `2^n` vertices (maximum degree 4).
@@ -73,20 +75,32 @@ impl Topology for DeBruijn {
         // antiparallel-arc collapses; count from the neighbor structure.
         let mut degree_sum = 0u64;
         for v in self.vertices() {
-            degree_sum += self.neighbors(v).len() as u64;
+            degree_sum += self.degree(v) as u64;
         }
         degree_sum / 2
     }
 
     fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
+        crate::collect_neighbors(self, v)
+    }
+
+    /// Successors then predecessors, skipping self-loops and repeats.
+    #[inline]
+    fn for_each_neighbor(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(VertexId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         assert!(self.contains(v), "vertex {v} out of range");
-        let mut out: Vec<VertexId> = Vec::with_capacity(4);
-        for w in self.successors(v).into_iter().chain(self.predecessors(v)) {
-            if w != v && !out.contains(&w) {
-                out.push(w);
+        let [s0, s1] = self.successors(v);
+        let [p0, p1] = self.predecessors(v);
+        let candidates = [s0, s1, p0, p1];
+        for (i, &w) in candidates.iter().enumerate() {
+            if w != v && !candidates[..i].contains(&w) {
+                f(w)?;
             }
         }
-        out
+        ControlFlow::Continue(())
     }
 
     fn max_degree(&self) -> usize {

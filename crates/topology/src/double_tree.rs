@@ -18,6 +18,8 @@
 //!
 //! The first root `x` is id `0`; the second root `y` is id `2^{n+1} - 1`.
 
+use std::ops::ControlFlow;
+
 use crate::{EdgeId, Topology, VertexId};
 
 /// Which part of the double tree a vertex belongs to.
@@ -250,30 +252,38 @@ impl Topology for DoubleBinaryTree {
     }
 
     fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        let mut out = Vec::with_capacity(3);
+        crate::collect_neighbors(self, v)
+    }
+
+    #[inline]
+    fn for_each_neighbor(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(VertexId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         match self.side(v) {
             TreeSide::First => {
                 if let Some(p) = self.parent_in_first(v) {
-                    out.push(p);
+                    f(p)?;
                 }
                 let (a, b) = self.children(v).expect("internal node has children");
-                out.push(a);
-                out.push(b);
+                f(a)?;
+                f(b)?;
             }
             TreeSide::Second => {
                 if let Some(p) = self.parent_in_second(v) {
-                    out.push(p);
+                    f(p)?;
                 }
                 let (a, b) = self.children(v).expect("internal node has children");
-                out.push(a);
-                out.push(b);
+                f(a)?;
+                f(b)?;
             }
             TreeSide::Leaf => {
-                out.push(self.parent_in_first(v).expect("leaf has a first parent"));
-                out.push(self.parent_in_second(v).expect("leaf has a second parent"));
+                f(self.parent_in_first(v).expect("leaf has a first parent"))?;
+                f(self.parent_in_second(v).expect("leaf has a second parent"))?;
             }
         }
-        out
+        ControlFlow::Continue(())
     }
 
     fn max_degree(&self) -> usize {

@@ -6,6 +6,8 @@
 //! hand-crafted counter-examples, and as the escape hatch for user-supplied
 //! topologies.
 
+use std::ops::ControlFlow;
+
 use crate::{EdgeId, Topology, VertexId};
 
 /// A graph stored as adjacency lists.
@@ -158,6 +160,20 @@ impl Topology for ExplicitGraph {
     fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
         assert!(self.contains(v), "vertex {v} out of range");
         self.adjacency[v.0 as usize].clone()
+    }
+
+    /// Walks the stored row in place; no clone.
+    #[inline]
+    fn for_each_neighbor(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(VertexId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        assert!(self.contains(v), "vertex {v} out of range");
+        for &w in &self.adjacency[v.0 as usize] {
+            f(w)?;
+        }
+        ControlFlow::Continue(())
     }
 
     fn degree(&self, v: VertexId) -> usize {

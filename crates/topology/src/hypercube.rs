@@ -5,6 +5,8 @@
 //! distance and a canonical geodesic flips the differing bits from the least
 //! significant to the most significant.
 
+use std::ops::ControlFlow;
+
 use crate::{EdgeId, Topology, VertexId};
 
 /// The `n`-dimensional hypercube `H_n`.
@@ -143,10 +145,20 @@ impl Topology for Hypercube {
     }
 
     fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
+        crate::collect_neighbors(self, v)
+    }
+
+    #[inline]
+    fn for_each_neighbor(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(VertexId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         assert!(self.contains(v), "vertex {v} out of range");
-        (0..self.dimension)
-            .map(|bit| VertexId(v.0 ^ (1 << bit)))
-            .collect()
+        for bit in 0..self.dimension {
+            f(VertexId(v.0 ^ (1 << bit)))?;
+        }
+        ControlFlow::Continue(())
     }
 
     fn degree(&self, _v: VertexId) -> usize {

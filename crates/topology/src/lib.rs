@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 pub mod binary_tree;
 pub mod butterfly;
@@ -187,6 +188,31 @@ pub trait Topology {
     /// (`v.0 >= num_vertices()`).
     fn neighbors(&self, v: VertexId) -> Vec<VertexId>;
 
+    /// Calls `f` on each neighbor of `v` in the fault-free graph, in exactly
+    /// the order of [`Topology::neighbors`], and stops as soon as `f`
+    /// returns [`ControlFlow::Break`]. Returns `Break` iff `f` did.
+    ///
+    /// This is the allocation-free form of [`Topology::neighbors`] that hot
+    /// loops (flooding, BFS conditioning) walk; probe counts depend on the
+    /// visiting order, so the two must agree element for element. The
+    /// default delegates to `neighbors`; every built-in family overrides it
+    /// with its closed form. The callback is a trait object so that
+    /// `dyn Topology` stays object-safe.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`Topology::neighbors`].
+    fn for_each_neighbor(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(VertexId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        for w in self.neighbors(v) {
+            f(w)?;
+        }
+        ControlFlow::Continue(())
+    }
+
     /// Human-readable family name with parameters, e.g. `"hypercube(n=12)"`.
     fn name(&self) -> String;
 
@@ -197,12 +223,34 @@ pub trait Topology {
 
     /// Degree of `v` in the fault-free graph.
     fn degree(&self, v: VertexId) -> usize {
-        self.neighbors(v).len()
+        let mut degree = 0;
+        let _ = self.for_each_neighbor(v, &mut |_| {
+            degree += 1;
+            ControlFlow::Continue(())
+        });
+        degree
     }
 
-    /// Returns `true` if `{u, v}` is an edge of the fault-free graph.
+    /// Returns `true` if `{u, v}` is an edge of the fault-free graph; `false`
+    /// for `u == v` and for pairs with an endpoint outside the graph.
+    ///
+    /// The default answers through [`Topology::edge_index`] when the family
+    /// has a closed form, and otherwise scans `u`'s neighbors.
     fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        u != v && self.neighbors(u).contains(&v)
+        if u == v || !self.contains(u) || !self.contains(v) {
+            return false;
+        }
+        if self.edge_index_bound().is_some() {
+            return self.edge_index(EdgeId::new(u, v)).is_some();
+        }
+        self.for_each_neighbor(u, &mut |w| {
+            if w == v {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .is_break()
     }
 
     /// Iterator over all vertices.
@@ -215,10 +263,12 @@ pub trait Topology {
 
     /// All edges incident to `v`, in canonical form.
     fn incident_edges(&self, v: VertexId) -> Vec<EdgeId> {
-        self.neighbors(v)
-            .into_iter()
-            .map(|w| EdgeId::new(v, w))
-            .collect()
+        let mut out = Vec::new();
+        let _ = self.for_each_neighbor(v, &mut |w| {
+            out.push(EdgeId::new(v, w));
+            ControlFlow::Continue(())
+        });
+        out
     }
 
     /// All edges of the graph, each reported exactly once.
@@ -226,13 +276,14 @@ pub trait Topology {
     /// The default implementation enumerates each vertex's neighbors and
     /// keeps the edges whose canonical low endpoint is that vertex.
     fn edges(&self) -> Vec<EdgeId> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.num_edges() as usize);
         for v in self.vertices() {
-            for w in self.neighbors(v) {
+            let _ = self.for_each_neighbor(v, &mut |w| {
                 if v.0 < w.0 {
                     out.push(EdgeId::new(v, w));
                 }
-            }
+                ControlFlow::Continue(())
+            });
         }
         out
     }
@@ -304,6 +355,18 @@ pub trait Topology {
     }
 }
 
+/// Collects [`Topology::for_each_neighbor`] into a vector: the `neighbors`
+/// of every family whose closed form lives in its visitor, so the two can
+/// never disagree on order.
+pub(crate) fn collect_neighbors<T: Topology + ?Sized>(graph: &T, v: VertexId) -> Vec<VertexId> {
+    let mut out = Vec::with_capacity(graph.max_degree());
+    let _ = graph.for_each_neighbor(v, &mut |w| {
+        out.push(w);
+        ControlFlow::Continue(())
+    });
+    out
+}
+
 /// SplitMix64 step: advances `state` and returns the next pseudo-random
 /// 64-bit value. The one deterministic generator shared by the crate's
 /// sampling sites (random matchings, sampled conformance checks).
@@ -320,7 +383,12 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
 ///
 /// Verifies that neighbor lists are symmetric, free of self-loops and
 /// duplicates, stay inside the vertex range, and that the handshake identity
-/// `Σ deg(v) = 2·|E|` holds.
+/// `Σ deg(v) = 2·|E|` holds. It also pins the allocation-free accessors to
+/// `neighbors`: [`Topology::for_each_neighbor`] yields exactly `neighbors(v)`
+/// in order and stops when the callback breaks; `degree`, `incident_edges`
+/// and `edges` keep `neighbors`' order; and [`Topology::has_edge`] agrees
+/// with `neighbors(u).contains(&v)`, including `u == v` and out-of-range
+/// pairs.
 ///
 /// # Panics
 ///
@@ -330,9 +398,17 @@ pub fn check_topology_invariants<T: Topology>(graph: &T) {
     let n = graph.num_vertices();
     assert!(n > 0, "{}: empty graph", graph.name());
     let mut degree_sum: u64 = 0;
+    let mut enumerated_edges = Vec::new();
     for v in graph.vertices() {
         let neigh = graph.neighbors(v);
         degree_sum += neigh.len() as u64;
+        check_accessors_agree_with_neighbors(graph, v, &neigh);
+        enumerated_edges.extend(
+            neigh
+                .iter()
+                .filter(|w| v.0 < w.0)
+                .map(|&w| EdgeId::new(v, w)),
+        );
         let mut seen = std::collections::HashSet::new();
         for w in &neigh {
             assert!(
@@ -365,6 +441,12 @@ pub fn check_topology_invariants<T: Topology>(graph: &T) {
         "{}: edges() length disagrees with num_edges()",
         graph.name()
     );
+    assert!(
+        graph.edges() == enumerated_edges,
+        "{}: edges() is not the neighbors() enumeration, in order",
+        graph.name()
+    );
+    check_has_edge_agrees_with_neighbors(graph);
     match graph.edge_index_bound() {
         Some(bound) => {
             let mut seen_indices = std::collections::HashSet::new();
@@ -398,6 +480,97 @@ pub fn check_topology_invariants<T: Topology>(graph: &T) {
             }
         }
     }
+}
+
+/// The per-vertex half of [`check_topology_invariants`]: the visitor, its
+/// early exit, `degree` and `incident_edges` against `neigh = neighbors(v)`.
+fn check_accessors_agree_with_neighbors<T: Topology>(graph: &T, v: VertexId, neigh: &[VertexId]) {
+    let name = graph.name();
+    let mut visited = Vec::new();
+    let flow = graph.for_each_neighbor(v, &mut |w| {
+        visited.push(w);
+        ControlFlow::Continue(())
+    });
+    assert!(
+        flow.is_continue(),
+        "{name}: for_each_neighbor({v}) reported a break nobody asked for"
+    );
+    assert_eq!(
+        visited, neigh,
+        "{name}: for_each_neighbor({v}) disagrees with neighbors({v})"
+    );
+    // Breaking after the first, a middle and the last neighbor stops the
+    // visit right there.
+    let stops = [0, neigh.len() / 2, neigh.len().saturating_sub(1)];
+    for &stop in stops.iter().filter(|_| !neigh.is_empty()) {
+        let mut seen = Vec::new();
+        let flow = graph.for_each_neighbor(v, &mut |w| {
+            seen.push(w);
+            if seen.len() > stop {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert!(
+            flow.is_break(),
+            "{name}: for_each_neighbor({v}) swallowed a break"
+        );
+        assert_eq!(
+            seen,
+            &neigh[..=stop],
+            "{name}: for_each_neighbor({v}) kept visiting after a break"
+        );
+    }
+    assert_eq!(
+        graph.degree(v),
+        neigh.len(),
+        "{name}: degree({v}) disagrees with neighbors({v})"
+    );
+    let incident: Vec<EdgeId> = neigh.iter().map(|&w| EdgeId::new(v, w)).collect();
+    assert_eq!(
+        graph.incident_edges(v),
+        incident,
+        "{name}: incident_edges({v}) is not neighbors({v}) in order"
+    );
+}
+
+/// The `has_edge` half of [`check_topology_invariants`]: every pair (all of
+/// them up to 256 vertices, a deterministic sample beyond), `u == v`, and
+/// pairs with an endpoint outside the graph.
+fn check_has_edge_agrees_with_neighbors<T: Topology>(graph: &T) {
+    let name = graph.name();
+    let n = graph.num_vertices();
+    let check_pair = |u: VertexId, v: VertexId| {
+        let expected = graph.contains(u) && graph.neighbors(u).contains(&v);
+        assert_eq!(
+            graph.has_edge(u, v),
+            expected,
+            "{name}: has_edge({u}, {v}) disagrees with neighbors({u})"
+        );
+    };
+    if n <= 256 {
+        for u in 0..n {
+            for v in 0..n {
+                check_pair(VertexId(u), VertexId(v));
+            }
+        }
+    } else {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for u in graph.vertices() {
+            check_pair(u, u);
+            for _ in 0..4 {
+                check_pair(u, VertexId(splitmix64(&mut state) % n));
+            }
+        }
+    }
+    for u in [0, n - 1] {
+        for out in [n, n + 1, u64::MAX] {
+            check_pair(VertexId(u), VertexId(out));
+            check_pair(VertexId(out), VertexId(u));
+        }
+    }
+    check_pair(VertexId(n), VertexId(n + 1));
 }
 
 /// Checks the closed-form edge-index contract that dense edge-state stores

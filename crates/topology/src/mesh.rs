@@ -6,6 +6,8 @@
 //! the mixed-radix encoding of the coordinate vector (least significant
 //! coordinate first).
 
+use std::ops::ControlFlow;
+
 use crate::{EdgeId, Topology, VertexId};
 
 /// The `d`-dimensional mesh with side length `m` (so `m^d` vertices).
@@ -188,20 +190,32 @@ impl Topology for Mesh {
     }
 
     fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        let coords = self.coordinates(v);
-        let mut out = Vec::with_capacity(2 * self.dimension as usize);
+        crate::collect_neighbors(self, v)
+    }
+
+    /// Per axis, the step down then the step up; the coordinates are peeled
+    /// off `v` digit by digit rather than materialised.
+    #[inline]
+    fn for_each_neighbor(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(VertexId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        assert!(self.contains(v), "vertex {v} out of range");
+        let mut rest = v.0;
         let mut stride: u64 = 1;
-        for (axis, &c) in coords.iter().enumerate() {
-            let _ = axis;
+        for _ in 0..self.dimension {
+            let c = rest % self.side;
+            rest /= self.side;
             if c > 0 {
-                out.push(VertexId(v.0 - stride));
+                f(VertexId(v.0 - stride))?;
             }
             if c + 1 < self.side {
-                out.push(VertexId(v.0 + stride));
+                f(VertexId(v.0 + stride))?;
             }
             stride *= self.side;
         }
-        out
+        ControlFlow::Continue(())
     }
 
     fn max_degree(&self) -> usize {

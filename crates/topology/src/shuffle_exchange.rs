@@ -5,6 +5,8 @@
 //! *shuffle* edges to the left and right cyclic rotations of `x`. One of the
 //! constant-degree families named in the paper's open questions (§6).
 
+use std::ops::ControlFlow;
+
 use crate::{EdgeId, Topology, VertexId};
 
 /// The shuffle-exchange graph over binary strings of length `n`
@@ -74,24 +76,35 @@ impl Topology for ShuffleExchange {
     fn num_edges(&self) -> u64 {
         let mut degree_sum = 0u64;
         for v in self.vertices() {
-            degree_sum += self.neighbors(v).len() as u64;
+            degree_sum += self.degree(v) as u64;
         }
         degree_sum / 2
     }
 
     fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
+        crate::collect_neighbors(self, v)
+    }
+
+    /// Exchange, left shuffle, right shuffle, skipping self-loops and
+    /// repeats.
+    #[inline]
+    fn for_each_neighbor(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(VertexId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         assert!(self.contains(v), "vertex {v} out of range");
-        let mut out: Vec<VertexId> = Vec::with_capacity(3);
-        for w in [
+        let candidates = [
             self.exchange(v),
             self.shuffle_left(v),
             self.shuffle_right(v),
-        ] {
-            if w != v && !out.contains(&w) {
-                out.push(w);
+        ];
+        for (i, &w) in candidates.iter().enumerate() {
+            if w != v && !candidates[..i].contains(&w) {
+                f(w)?;
             }
         }
-        out
+        ControlFlow::Continue(())
     }
 
     fn max_degree(&self) -> usize {

@@ -6,6 +6,8 @@
 //! when measuring bulk percolation quantities (chemical distance, giant
 //! component fraction) and is used by the ablation experiments.
 
+use std::ops::ControlFlow;
+
 use crate::{EdgeId, Topology, VertexId};
 
 /// The `d`-dimensional torus with side length `m` (`m^d` vertices, all of
@@ -117,16 +119,36 @@ impl Topology for Torus {
     }
 
     fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        let coords = self.coordinates(v);
-        let mut out = Vec::with_capacity(2 * self.dimension as usize);
-        for axis in 0..self.dimension as usize {
-            for dir in [-1i64, 1] {
-                let mut c = coords.clone();
-                c[axis] = ((c[axis] as i64 + dir).rem_euclid(self.side as i64)) as u64;
-                out.push(self.vertex_at(&c));
-            }
+        crate::collect_neighbors(self, v)
+    }
+
+    /// Per axis, the step down then the step up, each wrapping around.
+    #[inline]
+    fn for_each_neighbor(
+        &self,
+        v: VertexId,
+        f: &mut dyn FnMut(VertexId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        assert!(self.contains(v), "vertex {v} out of range");
+        let wrap = self.side - 1;
+        let mut rest = v.0;
+        let mut stride: u64 = 1;
+        for _ in 0..self.dimension {
+            let c = rest % self.side;
+            rest /= self.side;
+            f(VertexId(if c == 0 {
+                v.0 + wrap * stride
+            } else {
+                v.0 - stride
+            }))?;
+            f(VertexId(if c == wrap {
+                v.0 - wrap * stride
+            } else {
+                v.0 + stride
+            }))?;
+            stride *= self.side;
         }
-        out
+        ControlFlow::Continue(())
     }
 
     fn degree(&self, _v: VertexId) -> usize {

@@ -211,6 +211,34 @@ fn churn_report_stays_routable_and_is_engine_invariant() {
     );
 }
 
+/// The probe-count golden: `run_all --quick --markdown`, pinned byte for
+/// byte. It covers every routing experiment's probe counts (E1–E4 among
+/// them), so a change to the probe engine, a router or a topology's
+/// neighbor order that moves a single count fails here. The golden was
+/// generated by the binary before the routing hot path went
+/// allocation-free; each report is followed by the newline `println!` adds.
+#[test]
+fn run_all_quick_markdown_matches_the_golden() {
+    let reports = run_all_reports(Effort::Quick, TrialExec::sequential().with_threads(2));
+    let markdown: String = reports
+        .iter()
+        .map(|r| format!("{}\n", r.render_markdown()))
+        .collect();
+    let golden = include_str!("../crates/experiments/tests/golden/run_all_quick.md");
+    if let Some((i, (got, want))) = markdown
+        .lines()
+        .zip(golden.lines())
+        .enumerate()
+        .find(|(_, (got, want))| got != want)
+    {
+        panic!(
+            "line {} differs from the golden:\n got: {got}\nwant: {want}",
+            i + 1
+        );
+    }
+    assert_eq!(markdown, golden);
+}
+
 /// `run_all` derives from the registry, so the report sequence and the
 /// registry must agree one to one — no second hand-maintained list.
 #[test]
