@@ -232,8 +232,8 @@ fn bench_uniform_churn(c: &mut Criterion) {
     group.finish();
 }
 
-/// The harness's single-instance conditioning check `{u ∼ v}`: the
-/// early-exiting BFS (`exec.census_threads == 1`) vs a whole census on one
+/// The harness's single-instance conditioning check `{u ∼ v}` is the
+/// early-exiting BFS; this group pins why, against a whole census on one
 /// or two workers, on the instance the harness actually routes over (a
 /// Bernoulli-edge `FaultInstance`, lazily hashed). With a giant component
 /// (p = 0.5) the BFS must chase most of the graph while the census scans

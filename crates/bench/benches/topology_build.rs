@@ -1,13 +1,10 @@
 //! Bench target for `ExplicitGraph` construction and the `topology::load`
 //! parser.
 //!
-//! The headline comparison is `from_edges` (one sort + dedup over the whole
-//! edge list) against the strict per-edge `add_edge` loop (an O(degree)
-//! duplicate scan per insertion). On degree-homogeneous graphs the two are
-//! close; on a hub-heavy Barabási–Albert list the loop degenerates towards
-//! O(hub-degree) per hub edge, which is exactly the shape real edge-list
-//! datasets have — this group pins the gap so the bulk path's advantage
-//! (and the loader's reliance on it) stays visible.
+//! `from_edges` is the one constructor: one sort + dedup over the whole
+//! edge list, then a CSR fill. The hub-heavy Barabási–Albert list is the
+//! shape real edge-list datasets have, so this group keeps the cost of
+//! building the loader's substrates visible.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use faultnet_topology::explicit::ExplicitGraph;
@@ -37,18 +34,6 @@ fn bench_explicit_construction(c: &mut Criterion) {
     group.throughput(Throughput::Elements(edges.len() as u64));
     group.bench_function("bulk_from_edges", |b| {
         b.iter(|| ExplicitGraph::from_edges(n, edges.iter().copied()).num_edges())
-    });
-    group.bench_function("add_edge_loop", |b| {
-        b.iter(|| {
-            let mut graph = ExplicitGraph::new(n);
-            for &(u, v) in &edges {
-                graph.add_edge(
-                    faultnet_topology::VertexId(u),
-                    faultnet_topology::VertexId(v),
-                );
-            }
-            graph.num_edges()
-        })
     });
     group.finish();
 }

@@ -11,11 +11,8 @@
 //! `--threads N` to fan trials across `N` workers (0 or absent = one
 //! worker per core; the emitted tables are identical for every value),
 //! `--fault-model NAME` to churn a different static base model, and
-//! `--markdown` for Markdown output. E12 reads neither `--census-threads`
-//! (the incremental census runs no from-scratch census to parallelise) nor
-//! `--trial-batch` (each trial walks one evolving instance, so there is no
-//! trial fan-out for the multispin engine to pack); the latter warns on
-//! stderr.
+//! `--markdown` for Markdown output. E12 does not read `--census-threads`:
+//! the incremental census runs no from-scratch census to parallelise.
 
 use faultnet_experiments::churn::ChurnExperiment;
 use faultnet_experiments::cli::ExpArgs;

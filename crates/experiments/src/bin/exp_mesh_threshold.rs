@@ -6,10 +6,9 @@
 //! per core; the emitted tables are identical for every value),
 //! `--census-threads N` to run each intra-instance component census on `N`
 //! workers (absent = sequential census; 0 = one worker per core; the
-//! emitted tables are identical for every value), `--trial-batch N` to pack
-//! up to 64 trials per chunk onto the multispin engine (absent or 0 =
-//! scalar engine; the emitted tables are identical for every value), and
-//! `--markdown` for Markdown output.
+//! emitted tables are identical for every value), and `--markdown` for
+//! Markdown output. The trial loop packs the censuses onto the multispin
+//! engine itself.
 
 use faultnet_experiments::cli::ExpArgs;
 use faultnet_experiments::mesh_threshold::MeshThresholdExperiment;

@@ -15,10 +15,7 @@
 //! per core; the emitted tables are identical for every value),
 //! `--census-threads N` to run each intra-instance component census on `N`
 //! workers (absent = sequential census; 0 = one worker per core; the
-//! emitted tables are identical for every value), `--trial-batch N` to pack
-//! up to 64 trials per chunk onto the multispin engine for the benign
-//! columns (absent or 0 = scalar engine; the adversarial column always runs
-//! scalar; the emitted tables are identical for every value),
+//! emitted tables are identical for every value),
 //! `--fault-model NAME` to restrict the matrix to a single model, and
 //! `--markdown` for Markdown output.
 

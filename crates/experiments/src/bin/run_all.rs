@@ -14,10 +14,8 @@
 //!   workers (absent = sequential census; 0 = one worker per core). The
 //!   parallel census is bit-identical to the sequential one, so this knob
 //!   too leaves every emitted byte unchanged.
-//! * `--trial-batch N` packs up to 64 trials per chunk onto the multispin
-//!   engine in the trial-fan-out experiments (E8a, E8b, E11; absent or 0 =
-//!   scalar engine everywhere). The batched engine is bit-identical to the
-//!   scalar one, so this knob too leaves every emitted byte unchanged.
+//! * `--trial-batch` is retired and ignored: the trial loop packs census
+//!   trials onto the multispin engine and runs routing trials scalar.
 
 use faultnet_experiments::cli::ExpArgs;
 use faultnet_experiments::suite::run_all_reports;

@@ -10,32 +10,23 @@
 //!   results in deterministic order, the emitted tables are identical for
 //!   every thread count — the knob only changes wall-clock time.
 //! * `--census-threads N` (or `--census-threads=N`) — run each
-//!   *intra-instance* component census (giant scans, threshold bisections,
-//!   census-based conditioning) on `N` workers through
-//!   `ComponentCensus::compute_parallel`. `N = 0` means "one worker per
-//!   available core"; the default of 1 keeps the sequential census, which
-//!   wins below roughly the n = 10 hypercube, where per-census thread
-//!   spawning costs more than it saves (`conditioning/bfs_vs_census` in
-//!   the `census` bench target, p = 0.5, 2-core VM: H₈ 22 µs sequential
-//!   vs 85 µs on two workers, a tie at H₁₀, H₁₄ 4.2 ms vs 3.0 ms). On a
-//!   single routing instance the flag also swaps the early-exiting BFS
-//!   conditioning check for a census, which is slower at every measured
-//!   point (see `ComplexityHarness::measure`). The parallel census is
-//!   bit-identical to the sequential one (canonical min-vertex component
-//!   labels), so this knob, like `--threads`, never changes a single
-//!   emitted byte. `exp_churn` ignores it: its incremental census runs no
+//!   *intra-instance* component census (giant scans, threshold bisections)
+//!   on `N` workers through `ComponentCensus::compute_parallel`. `N = 0`
+//!   means "one worker per available core"; the default of 1 keeps the
+//!   sequential census, which wins below roughly the n = 10 hypercube,
+//!   where per-census thread spawning costs more than it saves
+//!   (`conditioning/bfs_vs_census` in the `census` bench target, p = 0.5,
+//!   2-core VM: H₈ 22 µs sequential vs 85 µs on two workers, a tie at H₁₀,
+//!   H₁₄ 4.2 ms vs 3.0 ms). Routing conditions with an early-exiting BFS
+//!   and ignores it. The parallel census is bit-identical to the
+//!   sequential one (canonical min-vertex component labels), so this
+//!   knob, like `--threads`, never changes a single emitted byte. `exp_churn` ignores it: its incremental census runs no
 //!   from-scratch census.
-//! * `--trial-batch N` (or `--trial-batch=N`) — run trial fan-outs through
-//!   the trial-batched (multispin) percolation engine, packing up to
-//!   `min(N, 64)` consecutive trials into one transposed bitset word per
-//!   edge. Consumed by the trial-fan-out binaries (`exp_hypercube_giant`,
-//!   `exp_mesh_threshold`, `exp_fault_models`, `exp_real_world`) and by
-//!   `run_all`; the others
-//!   warn on stderr ([`ExpArgs::exec_for`]). `N = 0` (the
-//!   default) keeps the scalar engine. The batched engine is bit-identical
-//!   to the scalar one — every emitted byte is the same for every `N` —
-//!   and the adversarial fault-model column always stays on the scalar
-//!   reference path.
+//! * `--trial-batch N` (or `--trial-batch=N`, or a bare `--trial-batch`)
+//!   — retired and ignored, value included, with a note on stderr. The
+//!   trial loop picks the instance store itself: census trials share
+//!   multispin lanes, routing trials run scalar
+//!   (`faultnet_faultmodel::trials::run_trials`).
 //! * `--markdown` — render the report as Markdown instead of plain text.
 //! * `--fault-model NAME` (or `--fault-model=NAME`) — select one named
 //!   fault model (`bernoulli-edges`, `bernoulli-nodes`,
@@ -60,7 +51,7 @@ use faultnet_faultmodel::FaultModelSpec;
 
 use crate::exec::TrialExec;
 use crate::report::Effort;
-use crate::suite::{registered, registry};
+use crate::suite::registered;
 
 /// Parsed experiment-binary arguments.
 ///
@@ -100,9 +91,6 @@ pub struct ExpArgs {
     /// Intra-instance census thread count, already resolved: absent = 1
     /// (sequential census), `--census-threads 0` = one worker per core.
     pub census_threads: usize,
-    /// Trial-batch lane request: `0` (absent flag) = scalar engine,
-    /// `N >= 1` = the multispin engine with `min(N, 64)` lanes per word.
-    pub trial_batch: usize,
     /// Whether `--markdown` was passed.
     pub markdown: bool,
     /// The fault model selected with `--fault-model`, if any. `None` means
@@ -123,9 +111,9 @@ impl ExpArgs {
     /// Parses the given argument list (flags may appear in any order;
     /// unknown flags produce a warning on stderr and are skipped).
     ///
-    /// The numeric value flags (`--threads`, `--census-threads`,
-    /// `--trial-batch`) obey one shared lookahead rule in their space-form,
-    /// the same rule `--fault-model` uses: the next token is consumed as the
+    /// The numeric value flags (`--threads`, `--census-threads`) obey one
+    /// shared lookahead rule in their space-form, the same rule
+    /// `--fault-model` uses: the next token is consumed as the
     /// value unless it is itself a flag. A malformed value therefore warns
     /// **exactly once** (it is not re-reported as an unknown argument), and
     /// a dangling flag — final token, or immediately followed by another
@@ -138,9 +126,6 @@ impl ExpArgs {
         let mut threads: usize = 0;
         // 1 = sequential census (the default); 0 = auto, resolved below.
         let mut census_threads: usize = 1;
-        // 0 = scalar engine (the default); N >= 1 = batched with min(N, 64)
-        // lanes. Deliberately *not* auto-resolved: batching is opt-in.
-        let mut trial_batch: usize = 0;
         let mut fault_model = None;
         let mut trace: Option<String> = None;
         let mut obs_summary = false;
@@ -169,12 +154,12 @@ impl ExpArgs {
                     i += consumed;
                 }
                 "--trial-batch" => {
-                    let (value, consumed) =
-                        take_numeric_value(&args, i, "--trial-batch", "keeping the scalar engine");
-                    if let Some(n) = value {
-                        trial_batch = n;
+                    // Retired: its value is consumed so that the rest of the
+                    // line parses exactly as it would without the flag.
+                    if args.get(i + 1).is_some_and(|next| !next.starts_with("--")) {
+                        i += 1;
                     }
-                    i += consumed;
+                    note_trial_batch_retired();
                 }
                 "--obs-summary" => obs_summary = true,
                 "--trace" => {
@@ -215,11 +200,8 @@ impl ExpArgs {
                             eprintln!("--census-threads expects a number; using the default of 1");
                             1
                         });
-                    } else if let Some(value) = other.strip_prefix("--trial-batch=") {
-                        trial_batch = value.parse().unwrap_or_else(|_| {
-                            eprintln!("--trial-batch expects a number; keeping the scalar engine");
-                            0
-                        });
+                    } else if other.starts_with("--trial-batch=") {
+                        note_trial_batch_retired();
                     } else if let Some(value) = other.strip_prefix("--fault-model=") {
                         parse_model(value);
                     } else if let Some(value) = other.strip_prefix("--trace=") {
@@ -239,7 +221,6 @@ impl ExpArgs {
             effort,
             threads: resolve_threads(threads),
             census_threads: resolve_census_threads(census_threads),
-            trial_batch,
             markdown,
             fault_model,
             trace,
@@ -253,13 +234,12 @@ impl ExpArgs {
         Self::parse(std::env::args().skip(1))
     }
 
-    /// The execution knobs the flags select: `--threads`,
-    /// `--census-threads` and `--trial-batch` as one [`TrialExec`].
+    /// The execution knobs the flags select: `--threads` and
+    /// `--census-threads` as one [`TrialExec`].
     pub fn exec(&self) -> TrialExec {
         TrialExec::sequential()
             .with_threads(self.threads)
             .with_census_threads(self.census_threads)
-            .with_trial_batch(self.trial_batch)
     }
 
     /// Renders `report` to stdout in the requested format.
@@ -285,34 +265,15 @@ impl ExpArgs {
         }
     }
 
-    /// The execution knobs `binary`'s experiment consumes:
-    /// [`ExpArgs::exec`] passed through
-    /// [`RegisteredExperiment::exec`](crate::suite::RegisteredExperiment::exec), so
-    /// the registry alone decides who honours `--trial-batch`. A binary
-    /// whose experiment has no trial fan-out to batch (single-instance
-    /// analyses, distance scans) warns on stderr when the flag was passed:
-    /// silently accepting it would let a user believe the batched engine
-    /// ran when nothing batched.
+    /// The execution knobs `binary`'s experiment runs under:
+    /// [`ExpArgs::exec`], once `binary` is checked against the registry.
     ///
     /// # Panics
     ///
     /// Panics if `binary` is not a registered experiment.
     pub fn exec_for(&self, binary: &str) -> TrialExec {
-        let experiment = registered(binary);
-        if self.trial_batch > 0 && !experiment.supports_trial_batch {
-            let consumers: Vec<&str> = registry()
-                .iter()
-                .filter(|e| e.supports_trial_batch)
-                .map(|e| e.binary)
-                .collect();
-            eprintln!(
-                "--trial-batch {} is ignored by {binary}; the trial-batched \
-                 engine applies to the trial-fan-out experiments ({})",
-                self.trial_batch,
-                consumers.join(", ")
-            );
-        }
-        experiment.exec(self.exec())
+        let _ = registered(binary);
+        self.exec()
     }
 
     /// Turns the observability layer on if `--trace` or `--obs-summary`
@@ -367,8 +328,13 @@ pub fn resolve_census_threads(requested: usize) -> usize {
     resolve_threads(requested)
 }
 
+/// Announces on stderr that `--trial-batch` was accepted and ignored.
+fn note_trial_batch_retired() {
+    eprintln!("--trial-batch is retired and ignored; the trial loop picks the instance store");
+}
+
 /// The shared lookahead rule for the space-form numeric flags
-/// (`--threads N`, `--census-threads N`, `--trial-batch N`).
+/// (`--threads N`, `--census-threads N`).
 ///
 /// The token after the flag is consumed as the value unless it is itself a
 /// flag (starts with `--`). Three cases:
@@ -491,42 +457,25 @@ mod tests {
 
     #[test]
     fn trial_batch_flag_forms() {
-        // Absent: scalar engine.
-        assert_eq!(ExpArgs::parse(Vec::new()).trial_batch, 0);
-        // Explicit counts in both spellings (clamping to 64 lanes happens
-        // in the engine, not the parser — 200 must survive to exercise it).
+        // `--trial-batch` is retired: each form it used to take parses like
+        // the same command line without it, its value consumed.
+        let parse = |args: &[&str]| ExpArgs::parse(args.iter().map(|a| a.to_string()));
+        let plain = parse(&["--quick", "--markdown"]);
         assert_eq!(
-            ExpArgs::parse(vec!["--trial-batch".into(), "64".into()]).trial_batch,
-            64
+            parse(&["--quick", "--trial-batch", "64", "--markdown"]),
+            plain
         );
+        assert_eq!(parse(&["--quick", "--trial-batch=7", "--markdown"]), plain);
+        assert_eq!(parse(&["--quick", "--trial-batch", "--markdown"]), plain);
+        // A non-numeric value is consumed too, and a dangling flag is inert.
         assert_eq!(
-            ExpArgs::parse(vec!["--trial-batch=7".into()]).trial_batch,
-            7
+            parse(&["--quick", "--trial-batch", "wide", "--markdown"]),
+            plain
         );
-        assert_eq!(
-            ExpArgs::parse(vec!["--trial-batch".into(), "200".into()]).trial_batch,
-            200
-        );
-        // A valueless flag keeps the scalar engine and must not swallow the
-        // next flag.
-        let args = ExpArgs::parse(vec!["--trial-batch".into(), "--markdown".into()]);
-        assert_eq!(args.trial_batch, 0);
-        assert!(args.markdown);
-        // Malformed value falls back to the scalar engine.
-        assert_eq!(
-            ExpArgs::parse(vec!["--trial-batch=lots".into()]).trial_batch,
-            0
-        );
-        // Orthogonal to the thread knobs.
-        let args = ExpArgs::parse(vec![
-            "--threads=2".into(),
-            "--census-threads=3".into(),
-            "--trial-batch=64".into(),
-        ]);
-        assert_eq!(
-            (args.threads, args.census_threads, args.trial_batch),
-            (2, 3, 64)
-        );
+        assert_eq!(parse(&["--quick", "--markdown", "--trial-batch"]), plain);
+        // The thread knobs around it keep their values.
+        let args = parse(&["--threads=2", "--trial-batch=64", "--census-threads=3"]);
+        assert_eq!((args.threads, args.census_threads), (2, 3));
     }
 
     #[test]
@@ -634,9 +583,6 @@ mod tests {
 
         let args = ExpArgs::parse(vec!["--census-threads".into()]);
         assert_eq!(args.census_threads, 1);
-
-        let args = ExpArgs::parse(vec!["--trial-batch".into()]);
-        assert_eq!(args.trial_batch, 0);
     }
 
     #[test]
@@ -656,8 +602,5 @@ mod tests {
         ]);
         assert_eq!(args.census_threads, 1);
         assert_eq!(args.effort, Effort::Quick);
-
-        let args = ExpArgs::parse(vec!["--trial-batch".into(), "wide".into()]);
-        assert_eq!(args.trial_batch, 0);
     }
 }

@@ -4,11 +4,12 @@
 //! [`faultnet_faultmodel::trials`], and is re-exported here unchanged: every
 //! experiment config holds one `exec: TrialExec` (set with its `with_exec`
 //! builder, from [`crate::cli::ExpArgs::exec`] in the binaries), so the
-//! three wall-clock levers — per-trial fan-out (`--threads`), intra-census
-//! fan-out (`--census-threads`), and the trial-batched multispin engine
-//! (`--trial-batch`) — travel as one value, and a new lever lands in one
-//! place instead of every signature. None of them changes a reported
-//! number.
+//! wall-clock levers — per-trial fan-out (`--threads`) and intra-census
+//! fan-out (`--census-threads`) — travel as one value, and a new lever
+//! lands in one place instead of every signature. None of them changes a
+//! reported number. The instance store is not a lever: the trial loop
+//! picks it, and `TrialExec::trial_batch` only forces a lane width for the
+//! equivalence suites.
 
 pub use faultnet_faultmodel::trials::TrialExec;
 
@@ -32,7 +33,7 @@ mod tests {
             .with_trial_batch(0);
         assert_eq!(exec.threads, 1);
         assert_eq!(exec.census_threads, 1);
-        // 0 is meaningful for the batch knob: it means "scalar engine".
+        // 0 is meaningful for the batch knob: the trial loop decides.
         assert_eq!(exec.trial_batch, 0);
         assert!(TrialExec::sequential().with_trial_batch(200).batched());
     }

@@ -62,9 +62,9 @@ pub fn measure_hypercube_point(
 /// at survival `p` caps the giant fraction near `p` — exactly the effect
 /// `exp_fault_models` tabulates side by side.
 ///
-/// A `trial_batch` request falls back to the scalar store for models that
-/// are not [`FaultModel::lane_batchable`] (after a one-shot stderr note) —
-/// the results are identical either way.
+/// The trial loop packs the trials into lanes where the model is
+/// [`FaultModel::lane_batchable`] and runs them scalar otherwise — the
+/// results are identical either way.
 pub fn measure_hypercube_point_with_model<M: FaultModel + Sync + ?Sized>(
     model: &M,
     dimension: u32,
@@ -142,6 +142,12 @@ impl<T: Topology + Sync> Census<'_, T> {
 
 impl<T: Topology + Sync> TrialVisitor<T> for Census<'_, T> {
     type Output = (f64, bool);
+
+    /// A census reads every edge of every lane, so sampling the lanes in
+    /// one pass pays off.
+    fn lanes_pay_off(&self) -> bool {
+        true
+    }
 
     fn instance(&self, instance: &FaultInstance) -> (f64, bool) {
         let sample = BitsetSample::from_states(self.graph, instance);
@@ -319,11 +325,24 @@ mod tests {
 
     #[test]
     fn batched_point_is_bit_identical_to_scalar() {
-        // Trial-order summation makes even the f64 addition sequence match,
-        // so the batched means are *equal*, not merely close.
-        let scalar = measure_hypercube_point(8, 0.4, 10, 7, TrialExec::sequential());
-        for trial_batch in [1, 4, 64, 200] {
-            for threads in [1, 3] {
+        // The oracle censuses one scalar instance per seed. Trial-order
+        // summation makes even the f64 addition sequence match, so the
+        // means of every store are *equal*, not merely close.
+        let cube = Hypercube::new(8);
+        let (mut giant, mut connected) = (0.0, 0u32);
+        for t in 0..10 {
+            let sample = BitsetSample::from_config(&cube, &PercolationConfig::new(0.4, 7 + t));
+            let census = ComponentCensus::compute(&cube, &sample);
+            giant += census.giant_fraction();
+            connected += u32::from(census.num_components() == 1);
+        }
+        let scalar = HypercubePoint {
+            p: 0.4,
+            giant_fraction: giant / 10.0,
+            connectivity: f64::from(connected) / 10.0,
+        };
+        for trial_batch in [0, 1, 4, 64, 200] {
+            for threads in [1, 3, 10] {
                 let exec = TrialExec::sequential()
                     .with_threads(threads)
                     .with_trial_batch(trial_batch);
@@ -343,11 +362,17 @@ mod tests {
 
     #[test]
     fn quick_report_is_byte_identical_with_batching() {
-        let scalar = HypercubeGiantExperiment::quick().run().render();
-        let batched = HypercubeGiantExperiment::quick()
-            .with_exec(TrialExec::sequential().with_trial_batch(64))
-            .run()
-            .render();
-        assert_eq!(scalar, batched);
+        let render = |exec| {
+            HypercubeGiantExperiment::quick()
+                .with_exec(exec)
+                .run()
+                .render()
+        };
+        let auto = render(TrialExec::sequential());
+        assert_eq!(auto, render(TrialExec::sequential().with_threads(6)));
+        for trial_batch in [1, 64] {
+            let forced = render(TrialExec::sequential().with_trial_batch(trial_batch));
+            assert_eq!(auto, forced, "trial_batch {trial_batch}");
+        }
     }
 }

@@ -25,10 +25,9 @@
 //! Each module exposes an experiment struct with `quick()` (seconds; used by
 //! tests and Criterion benches) and `full()` (minutes; used by the `exp-*`
 //! binaries) constructors, a `with_exec` builder taking the binaries'
-//! execution knobs as one [`exec::TrialExec`] (`--threads`,
-//! `--census-threads`, and — for the trial-fan-out experiments E8a, E8b,
-//! E11 and E13 — `--trial-batch`; the reported numbers are bit-identical
-//! for every value), and a `run()` method producing an
+//! execution knobs as one [`exec::TrialExec`] (`--threads` and
+//! `--census-threads`; the reported numbers are bit-identical for every
+//! value), and a `run()` method producing an
 //! [`report::ExperimentReport`]. Every Monte-Carlo measurement runs on the
 //! workspace's one trial loop, [`faultnet_faultmodel::trials::run_trials`]:
 //! routing through [`faultnet_routing::ComplexityHarness::measure`], giant

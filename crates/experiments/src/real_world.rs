@@ -9,8 +9,8 @@
 //! Barabási–Albert scale-free graph, a `k`-ary fat-tree, and a random
 //! `d`-regular graph, all materialised as
 //! [`faultnet_topology::explicit::ExplicitGraph`] through `topology::load`
-//! (so the adjacency-slot `edge_index` gives them the bitset/multispin fast
-//! paths for free).
+//! (so the CSR `edge_index`, one slot per edge, gives them the
+//! bitset/multispin fast paths for free).
 //!
 //! What to read off the tables, against the structured-family anchors:
 //!
@@ -383,10 +383,10 @@ mod tests {
     #[test]
     fn batched_matrix_is_byte_identical_to_scalar() {
         // The explicit substrates take the multispin engine through their
-        // adjacency-slot edge_index; the adversarial column exercises the
-        // scalar fallback inside an otherwise-batched run. Either way the
-        // rendered report must not move by a byte — and neither knob of the
-        // trial fan-out may.
+        // CSR edge_index; the adversarial column exercises the scalar
+        // fallback inside an otherwise-batched run. Either way the rendered
+        // report must not move by a byte — and neither knob of the trial
+        // fan-out may.
         let scalar = RealWorldExperiment::quick().run().render();
         for trial_batch in [1, 64] {
             let batched = RealWorldExperiment::quick()

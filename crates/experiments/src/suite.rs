@@ -32,34 +32,17 @@ pub struct RegisteredExperiment {
     pub binary: &'static str,
     /// One-line description (paper result or scenario).
     pub title: &'static str,
-    /// Whether this experiment consumes the `--trial-batch` knob (the
-    /// trial-fan-out experiments: E8a, E8b, E11, E13). For the rest the knob
-    /// is a no-op — their trial structure has nothing for lanes to pack.
-    pub supports_trial_batch: bool,
     run: fn(Effort, TrialExec) -> ExperimentReport,
 }
 
 impl RegisteredExperiment {
-    /// `exec` as this experiment consumes it: an experiment that doesn't
-    /// [`Self::supports_trial_batch`] runs with the trial batch off. The
-    /// registry marker is the one place that decides this, for `run_all`
-    /// and the dedicated binaries alike.
-    pub fn exec(&self, exec: TrialExec) -> TrialExec {
-        if self.supports_trial_batch {
-            exec
-        } else {
-            exec.with_trial_batch(0)
-        }
-    }
-
-    /// Runs the experiment at the given effort under [`Self::exec`]. Every
-    /// knob is a pure wall-clock lever: the report is a function of
-    /// `effort` alone.
+    /// Runs the experiment at the given effort under `exec`. Every knob is
+    /// a pure wall-clock lever: the report is a function of `effort` alone.
     pub fn run(&self, effort: Effort, exec: TrialExec) -> ExperimentReport {
         // `binary` is 'static, so it doubles as the span name: one span per
         // experiment, visible in `--trace` output as `exp_mesh_routing` etc.
         let _span = faultnet_obs::span(self.binary);
-        (self.run)(effort, self.exec(exec))
+        (self.run)(effort, exec)
     }
 }
 
@@ -67,40 +50,31 @@ impl RegisteredExperiment {
 /// adding an experiment; `run_all` and the end-to-end tests derive from it.
 pub fn registry() -> Vec<RegisteredExperiment> {
     // A macro keeps each entry to one line and guarantees every experiment
-    // is wired through the same with_effort/with_exec/run protocol. The
-    // `scalar`/`batched` marker states whether the experiment consumes the
-    // trial-batch knob (see `RegisteredExperiment::exec`).
+    // is wired through the same with_effort/with_exec/run protocol.
     macro_rules! experiments {
-        (@supports scalar) => {
-            false
-        };
-        (@supports batched) => {
-            true
-        };
-        ($($id:literal, $binary:literal, $title:literal => $marker:ident $ty:ty;)+) => {
+        ($($id:literal, $binary:literal, $title:literal => $ty:ty;)+) => {
             vec![$(RegisteredExperiment {
                 id: $id,
                 binary: $binary,
                 title: $title,
-                supports_trial_batch: experiments!(@supports $marker),
                 run: |effort, exec| <$ty>::with_effort(effort).with_exec(exec).run(),
             }),+]
         };
     }
     experiments! {
-        "E1/E3", "exp_hypercube_transition", "Theorem 3 — hypercube routing phase transition" => scalar HypercubeTransitionExperiment;
-        "E2", "exp_hypercube_lower_bound", "Lemma 5 — cut lower bound vs. measured cost" => scalar HypercubeLowerBoundExperiment;
-        "E4", "exp_mesh_routing", "Theorem 4 — O(n) mesh routing above p_c" => scalar MeshRoutingExperiment;
-        "E5", "exp_chemical_distance", "Lemma 8 — chemical distance is linear above p_c" => scalar ChemicalDistanceExperiment;
-        "E6", "exp_double_tree", "Lemma 6 + Theorems 7, 9 — double tree local vs. oracle" => scalar DoubleTreeExperiment;
-        "E7", "exp_gnp", "Theorems 10, 11 — G(n,p) local n² vs. oracle n^{3/2}" => scalar GnpExperiment;
-        "E8a", "exp_hypercube_giant", "§1.2 — hypercube giant/connectivity thresholds" => batched HypercubeGiantExperiment;
-        "E8b", "exp_mesh_threshold", "§1.2 — mesh percolation threshold" => batched MeshThresholdExperiment;
-        "E9", "exp_open_questions", "§6 open questions — constant-degree families" => scalar OpenQuestionsExperiment;
-        "E10", "exp_ablation", "design-choice ablations" => scalar AblationExperiment;
-        "E11", "exp_fault_models", "fault-model scenario matrix (node/correlated/adversarial)" => batched FaultModelsExperiment;
-        "E12", "exp_churn", "dynamic fault churn — incremental census over fail/repair dynamics" => scalar ChurnExperiment;
-        "E13", "exp_real_world", "fault-model matrix on real-world/scale-free substrates" => batched RealWorldExperiment;
+        "E1/E3", "exp_hypercube_transition", "Theorem 3 — hypercube routing phase transition" => HypercubeTransitionExperiment;
+        "E2", "exp_hypercube_lower_bound", "Lemma 5 — cut lower bound vs. measured cost" => HypercubeLowerBoundExperiment;
+        "E4", "exp_mesh_routing", "Theorem 4 — O(n) mesh routing above p_c" => MeshRoutingExperiment;
+        "E5", "exp_chemical_distance", "Lemma 8 — chemical distance is linear above p_c" => ChemicalDistanceExperiment;
+        "E6", "exp_double_tree", "Lemma 6 + Theorems 7, 9 — double tree local vs. oracle" => DoubleTreeExperiment;
+        "E7", "exp_gnp", "Theorems 10, 11 — G(n,p) local n² vs. oracle n^{3/2}" => GnpExperiment;
+        "E8a", "exp_hypercube_giant", "§1.2 — hypercube giant/connectivity thresholds" => HypercubeGiantExperiment;
+        "E8b", "exp_mesh_threshold", "§1.2 — mesh percolation threshold" => MeshThresholdExperiment;
+        "E9", "exp_open_questions", "§6 open questions — constant-degree families" => OpenQuestionsExperiment;
+        "E10", "exp_ablation", "design-choice ablations" => AblationExperiment;
+        "E11", "exp_fault_models", "fault-model scenario matrix (node/correlated/adversarial)" => FaultModelsExperiment;
+        "E12", "exp_churn", "dynamic fault churn — incremental census over fail/repair dynamics" => ChurnExperiment;
+        "E13", "exp_real_world", "fault-model matrix on real-world/scale-free substrates" => RealWorldExperiment;
     }
 }
 
@@ -152,21 +126,22 @@ mod tests {
 
     #[test]
     fn churn_experiment_is_registered_as_scalar() {
+        // The churn walk evolves one instance per trial and never enters
+        // the trial loop, so it has no store to pick.
         let experiments = registry();
         let churn = experiments
             .iter()
             .find(|e| e.binary == "exp_churn")
             .expect("exp_churn missing from the registry — run_all would skip it");
         assert_eq!(churn.id, "E12");
-        assert!(
-            !churn.supports_trial_batch,
-            "the churn walk is a single evolving instance per trial; there \
-             is no trial fan-out for the multispin engine to pack"
-        );
     }
 
     #[test]
     fn every_binary_is_registered_and_exec_drops_only_unsupported_batching() {
+        // Nothing is unsupported, so nothing is dropped: every binary runs
+        // under exactly the flags' `TrialExec`, and the trial loop picks the
+        // store.
+        let args = crate::cli::ExpArgs::parse(["--threads", "3"].map(String::from));
         let bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
         let mut found = 0;
         for entry in std::fs::read_dir(bins).expect("src/bin is readable") {
@@ -177,14 +152,7 @@ mod tests {
             if binary == "run_all" {
                 continue;
             }
-            let experiment = registered(binary);
-            let exec = TrialExec::sequential().with_threads(3).with_trial_batch(64);
-            let expected = exec.with_trial_batch(if experiment.supports_trial_batch {
-                64
-            } else {
-                0
-            });
-            assert_eq!(experiment.exec(exec), expected, "{binary}");
+            assert_eq!(args.exec_for(binary), args.exec(), "{binary}");
             found += 1;
         }
         assert_eq!(
@@ -198,24 +166,5 @@ mod tests {
     #[should_panic(expected = "not a registered experiment")]
     fn unregistered_binaries_are_rejected() {
         let _ = registered("exp_missing");
-    }
-
-    #[test]
-    fn exactly_the_trial_fan_out_experiments_support_batching() {
-        let batched: Vec<&str> = registry()
-            .iter()
-            .filter(|e| e.supports_trial_batch)
-            .map(|e| e.binary)
-            .collect();
-        assert_eq!(
-            batched,
-            [
-                "exp_hypercube_giant",
-                "exp_mesh_threshold",
-                "exp_fault_models",
-                "exp_real_world"
-            ],
-            "the --trial-batch consumers changed; update docs/EXPERIMENTS.md"
-        );
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! These tests run the entire registered experiment zoo at `Quick` effort
 //! under all three instrumentation states — and across the wall-clock
-//! knobs (`threads`, `census_threads`, `trial_batch`), whose worker
+//! knobs (`threads`, `census_threads`, a forced `trial_batch`), whose worker
 //! closures carry the per-thread flush calls — and `assert_eq!` the
 //! rendered text and Markdown. The CI workflow repeats the same check at
 //! the process level (`cmp` of `--trace` vs untraced stdout).
@@ -86,8 +86,8 @@ fn instrumentation_states_never_change_a_report_byte() {
 fn tracing_is_transparent_across_the_wall_clock_knobs() {
     let _guard = OBS_LOCK.lock().unwrap();
     faultnet_obs::reset();
-    // The knob-equivalence contract (threads / census-threads / trial-batch
-    // never change a byte) must survive instrumentation: the worker
+    // The knob-equivalence contract (threads / census-threads / forced lane
+    // widths never change a byte) must survive instrumentation: the worker
     // closures carry per-thread flush calls, and those must be as invisible
     // as the counters themselves.
     let scalar_quiet = rendered_zoo(1, 1, 0);

@@ -149,10 +149,9 @@ impl FaultModel for AdversarialBudget {
     /// The adversarial column stays on the scalar engine. Its placement is
     /// seed-independent, so packing it into lanes would be *possible* — but
     /// the worst-case column is precisely the reference the trial-batched
-    /// engine is validated against, so it deliberately opts out: batched
-    /// entry points fall back to scalar measurement (with a single
-    /// [`crate::warn_scalar_fallback`] note) and the property suite asserts
-    /// the results are untouched.
+    /// engine is validated against, so it deliberately opts out: the trial
+    /// loop runs it scalar and the property suite asserts the results are
+    /// untouched.
     fn lane_batchable(&self) -> bool {
         false
     }

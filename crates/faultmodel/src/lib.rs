@@ -162,10 +162,9 @@ pub trait FaultModel {
     ///
     /// [`AdversarialBudget`] returns `false`: the worst-case column is the
     /// reference the batched engine is validated against, so it is
-    /// deliberately kept on the scalar path — batched entry points must
-    /// fall back to the scalar engine (announcing it once through
-    /// [`warn_scalar_fallback`]) and produce bit-identical results, which
-    /// the property suite asserts.
+    /// deliberately kept on the scalar path — the trial loop runs its
+    /// trials scalar, with bit-identical results, which the property suite
+    /// asserts.
     fn lane_batchable(&self) -> bool {
         true
     }
@@ -266,26 +265,6 @@ impl<M: FaultModel + ?Sized> FaultModel for Box<M> {
     fn lane_batchable(&self) -> bool {
         (**self).lane_batchable()
     }
-}
-
-/// Announces — once per process — that a batched entry point fell back to
-/// the scalar engine for `model_name` (a model with
-/// [`FaultModel::lane_batchable`]` == false`, i.e. the adversary).
-///
-/// A single warning rather than one per measurement: an experiment grid
-/// evaluates the adversarial column at dozens of `(p, distance)` points,
-/// and the fallback is a documented property of the model, not a per-point
-/// surprise. The message goes to stderr so `run_all`'s stdout stays
-/// byte-identical with `--trial-batch` on and off.
-pub fn warn_scalar_fallback(model_name: &str) {
-    use std::sync::Once;
-    static WARNED: Once = Once::new();
-    WARNED.call_once(|| {
-        eprintln!(
-            "note: fault model '{model_name}' is not lane-batchable; \
-             its trials run on the scalar engine (results are identical)"
-        );
-    });
 }
 
 /// Which vertices of one fault instance are dead.

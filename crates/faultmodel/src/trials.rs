@@ -9,23 +9,25 @@
 //! * the model's seed-independent placement is hoisted once
 //!   ([`FaultModel::pair_placement`]);
 //! * trial `t` is the instance at seed `config.seed() + t`;
-//! * with batching on, chunks of up to 64 consecutive trials share one
-//!   [`TrialBatch`] (lane `l` of the chunk at `t0` is trial `t0 + l`);
-//!   otherwise each trial is one [`FaultInstance`];
+//! * the loop picks the store: visitors whose lanes pay off (census) get
+//!   chunks of up to 64 consecutive trials in one [`TrialBatch`] (lane `l`
+//!   of the chunk at `t0` is trial `t0 + l`); the rest (Definition-2
+//!   routing) get one [`FaultInstance`] per trial;
 //! * chunks fan out over [`Sweep::run_parallel`], inline at one thread;
 //! * per-trial results come back in trial order.
 //!
 //! What a measurement does with a trial is a [`TrialVisitor`], with one
 //! method per store. Because every trial is a pure function of its seed
 //! and results are returned in trial order, the output is identical for
-//! every [`TrialExec`]: the knobs only change wall-clock time.
+//! every store and every [`TrialExec`]: the knobs only change wall-clock
+//! time.
 
 use faultnet_analysis::sweep::Sweep;
 use faultnet_percolation::trial_batch::{clamp_lanes, TrialBatch};
 use faultnet_percolation::PercolationConfig;
 use faultnet_topology::{Topology, VertexId};
 
-use crate::{warn_scalar_fallback, FaultInstance, FaultModel};
+use crate::{FaultInstance, FaultModel};
 
 /// Wall-clock execution knobs for a trial-fan-out measurement.
 ///
@@ -33,7 +35,9 @@ use crate::{warn_scalar_fallback, FaultInstance, FaultModel};
 /// Trials fold in trial order, the parallel census is bit-identical to the
 /// sequential one, and each lane of the batched store is bit-identical to
 /// its scalar trial (each proven by its own equivalence suite), so a
-/// `TrialExec` is purely a wall-clock configuration.
+/// `TrialExec` is purely a wall-clock configuration. The instance store is
+/// not a user knob: [`run_trials`] picks it from the visitor, and
+/// `trial_batch` only forces a lane width for tests and benchmarks.
 ///
 /// # Examples
 ///
@@ -52,15 +56,16 @@ pub struct TrialExec {
     pub threads: usize,
     /// Intra-census worker threads; 1 = sequential census.
     pub census_threads: usize,
-    /// Trial-batch lane request: 0 = scalar engine, `N >= 1` = multispin
-    /// engine with `min(N, 64)` lanes per word.
+    /// Forced lane width: 0 (the default) lets [`run_trials`] pick the
+    /// store; `N >= 1` forces the multispin store with `min(N, 64)` lanes
+    /// per word wherever the model and graph allow it.
     pub trial_batch: usize,
 }
 
 impl TrialExec {
-    /// Fully sequential scalar execution: one thread, sequential census,
-    /// batching off. The baseline every other configuration must
-    /// bit-identically reproduce.
+    /// Fully sequential execution: one thread, sequential census, and the
+    /// store left to [`run_trials`]. The baseline every other configuration
+    /// must bit-identically reproduce.
     pub fn sequential() -> Self {
         TrialExec {
             threads: 1,
@@ -83,14 +88,14 @@ impl TrialExec {
         self
     }
 
-    /// Sets the trial-batch lane request (0 keeps the scalar engine).
+    /// Forces a lane width (0 leaves the store to [`run_trials`]).
     #[must_use]
     pub fn with_trial_batch(mut self, trial_batch: usize) -> Self {
         self.trial_batch = trial_batch;
         self
     }
 
-    /// Whether the trial-batched engine was requested.
+    /// Whether a lane width is forced.
     pub fn batched(&self) -> bool {
         self.trial_batch > 0
     }
@@ -111,6 +116,14 @@ pub trait TrialVisitor<T: ?Sized>: Sync {
     /// The per-trial result.
     type Output: Send;
 
+    /// Whether packing trials into lanes pays off for this visitor. A
+    /// census reads every edge of every lane, so sampling them all in one
+    /// pass wins; a conditioned route reads a few edges of one instance at
+    /// a time and runs faster on its own. Defaults to `false`.
+    fn lanes_pay_off(&self) -> bool {
+        false
+    }
+
     /// Visits one trial materialised as a single [`FaultInstance`].
     fn instance(&self, instance: &FaultInstance) -> Self::Output;
 
@@ -123,10 +136,18 @@ pub trait TrialVisitor<T: ?Sized>: Sync {
 /// per-trial results in trial order.
 ///
 /// Trial `t` is the instance at seed `config.seed() + t` (wrapping) for
-/// the routed `pair`. The batched store is used iff `exec.trial_batch > 0`,
-/// the model is [`FaultModel::lane_batchable`] (otherwise the fallback is
-/// announced once through [`warn_scalar_fallback`]), and the graph has a
-/// closed-form edge index ([`TrialBatch::supported`]).
+/// the routed `pair`. The loop picks the store:
+///
+/// * a visitor whose [lanes pay off](TrialVisitor::lanes_pay_off) gets
+///   `ceil(trials / exec.threads)` lanes per chunk, clamped to 64, so
+///   every worker gets one chunk; a width of 1 runs scalar;
+/// * every other visitor runs scalar, one [`FaultInstance`] per trial;
+/// * a forced `exec.trial_batch > 0` overrides both with that width.
+///
+/// Lanes need a [`FaultModel::lane_batchable`] model and a graph with a
+/// closed-form edge index ([`TrialBatch::supported`]); otherwise the loop
+/// runs scalar. Every store is O(|E|) per chunk, and the results are the
+/// same for every choice.
 ///
 /// # Panics
 ///
@@ -151,15 +172,9 @@ where
         let seed = config.seed().wrapping_add(u64::from(t));
         model.instance_from_placement(&placement, graph, config.with_seed(seed), pair)
     };
-    if exec.batched() && !model.lane_batchable() {
-        warn_scalar_fallback(&model.name());
-    }
-    let batched = exec.batched() && model.lane_batchable() && TrialBatch::supported(graph);
-    let lanes = if batched {
-        clamp_lanes(exec.trial_batch)
-    } else {
-        1
-    };
+    let width = lane_width(visitor.lanes_pay_off(), trials, exec);
+    let batched = width > 0 && model.lane_batchable() && TrialBatch::supported(graph);
+    let lanes = if batched { clamp_lanes(width) } else { 1 };
     let run_chunk = |&t0: &u32| -> Vec<V::Output> {
         if !batched {
             return vec![visitor.instance(&instance(t0))];
@@ -185,6 +200,19 @@ where
     per_trial
 }
 
+/// The lane width [`run_trials`] asks for, before clamping; 0 = scalar.
+fn lane_width(lanes_pay_off: bool, trials: u32, exec: TrialExec) -> usize {
+    if exec.batched() {
+        return exec.trial_batch;
+    }
+    let per_worker = (trials as usize).div_ceil(exec.threads);
+    if lanes_pay_off && per_worker > 1 {
+        per_worker
+    } else {
+        0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,19 +223,28 @@ mod tests {
 
     /// Records each trial's bitset words, so a run's output pins the exact
     /// instance every trial saw, whichever store carried it.
-    struct Words<'g, T>(&'g T);
+    struct Words<'g, T> {
+        graph: &'g T,
+        lanes_pay_off: bool,
+    }
 
     impl<T: Topology + Sync> TrialVisitor<T> for Words<'_, T> {
         type Output = Vec<u64>;
 
+        fn lanes_pay_off(&self) -> bool {
+            self.lanes_pay_off
+        }
+
         fn instance(&self, instance: &FaultInstance) -> Vec<u64> {
-            BitsetSample::from_states(self.0, instance).words().to_vec()
+            BitsetSample::from_states(self.graph, instance)
+                .words()
+                .to_vec()
         }
 
         fn batch(&self, batch: &TrialBatch<'_, T>) -> Vec<Vec<u64>> {
             (0..batch.lanes())
                 .map(|l| {
-                    BitsetSample::from_states(self.0, &batch.lane_view(l))
+                    BitsetSample::from_states(self.graph, &batch.lane_view(l))
                         .words()
                         .to_vec()
                 })
@@ -222,11 +259,15 @@ mod tests {
         let pair = cube.canonical_pair();
         for spec in FaultModelSpec::ALL {
             let model = spec.build();
-            let run = |trials, exec| {
-                run_trials(&*model, &cube, config, pair, trials, exec, &Words(&cube))
+            let run = |trials, exec, lanes_pay_off| {
+                let visitor = Words {
+                    graph: &cube,
+                    lanes_pay_off,
+                };
+                run_trials(&*model, &cube, config, pair, trials, exec, &visitor)
             };
             // Trial t of the oracle is the instance at seed 41 + t.
-            let oracle = run(67, TrialExec::sequential());
+            let oracle = run(67, TrialExec::sequential(), false);
             for (t, words) in oracle.iter().enumerate() {
                 let direct = model.instance(&cube, config.with_seed(41 + t as u64), Some(pair));
                 assert_eq!(
@@ -240,46 +281,81 @@ mod tests {
                     let exec = TrialExec::sequential()
                         .with_threads(threads)
                         .with_trial_batch(trial_batch);
-                    assert_eq!(oracle, run(67, exec), "{spec}, {exec:?}");
-                    assert!(run(0, exec).is_empty(), "{spec}, {exec:?}: zero trials");
+                    for lanes_pay_off in [false, true] {
+                        let label = format!("{spec}, {exec:?}, lanes pay off: {lanes_pay_off}");
+                        assert_eq!(oracle, run(67, exec, lanes_pay_off), "{label}");
+                        assert!(run(0, exec, lanes_pay_off).is_empty(), "{label}: 0 trials");
+                    }
                 }
             }
         }
     }
 
-    /// Counts how many trials reached each store.
-    struct Stores;
+    /// Reports the lane width each trial ran at (0 = the scalar store).
+    struct Stores {
+        lanes_pay_off: bool,
+    }
 
     impl<T: Topology + ?Sized> TrialVisitor<T> for Stores {
-        type Output = bool;
+        type Output = usize;
 
-        fn instance(&self, _: &FaultInstance) -> bool {
-            false
+        fn lanes_pay_off(&self) -> bool {
+            self.lanes_pay_off
         }
 
-        fn batch(&self, batch: &TrialBatch<'_, T>) -> Vec<bool> {
-            vec![true; batch.lanes()]
+        fn instance(&self, _: &FaultInstance) -> usize {
+            0
+        }
+
+        fn batch(&self, batch: &TrialBatch<'_, T>) -> Vec<usize> {
+            vec![batch.lanes(); batch.lanes()]
         }
     }
+
+    const CENSUS: Stores = Stores {
+        lanes_pay_off: true,
+    };
+    const ROUTING: Stores = Stores {
+        lanes_pay_off: false,
+    };
 
     #[test]
     fn the_batched_store_is_chosen_exactly_when_every_condition_holds() {
         let mesh = Mesh::new(2, 4);
         let config = PercolationConfig::new(0.5, 3);
         let pair = mesh.canonical_pair();
-        let batched = TrialExec::sequential().with_trial_batch(64);
-        let stores = |spec: FaultModelSpec, exec| {
-            run_trials(&*spec.build(), &mesh, config, pair, 3, exec, &Stores)
+        let widths = |spec: FaultModelSpec, trials, exec, visitor: &Stores| {
+            let mut widths = run_trials(&*spec.build(), &mesh, config, pair, trials, exec, visitor);
+            widths.dedup();
+            widths
         };
-        assert_eq!(stores(FaultModelSpec::BernoulliEdges, batched), [true; 3]);
+        let edges = FaultModelSpec::BernoulliEdges;
+        let threads = |n| TrialExec::sequential().with_threads(n);
+        // Census batches ceil(trials / threads) lanes, clamped to 64, so
+        // every worker gets one chunk.
+        assert_eq!(widths(edges, 30, threads(1), &CENSUS), [30]);
+        assert_eq!(widths(edges, 30, threads(2), &CENSUS), [15]);
+        assert_eq!(widths(edges, 31, threads(2), &CENSUS), [16, 15]);
+        assert_eq!(widths(edges, 200, threads(1), &CENSUS), [64, 8]);
+        // One lane per chunk is the scalar store.
+        assert_eq!(widths(edges, 2, threads(2), &CENSUS), [0]);
+        assert_eq!(widths(edges, 1, threads(1), &CENSUS), [0]);
+        // Definition-2 routing always runs scalar.
+        assert_eq!(widths(edges, 30, threads(1), &ROUTING), [0]);
+        assert_eq!(widths(edges, 30, threads(2), &ROUTING), [0]);
+        // A forced width overrides both choices.
+        let forced = threads(2).with_trial_batch(5);
+        assert_eq!(widths(edges, 10, forced, &ROUTING), [5]);
+        assert_eq!(widths(edges, 10, forced, &CENSUS), [5]);
         assert_eq!(
-            stores(FaultModelSpec::BernoulliEdges, TrialExec::sequential()),
-            [false; 3]
+            widths(edges, 3, threads(1).with_trial_batch(1), &ROUTING),
+            [1]
         );
-        assert_eq!(
-            stores(FaultModelSpec::AdversarialBudget, batched),
-            [false; 3]
-        );
+        // A model that is not lane-batchable runs scalar, forced or not.
+        let adversary = FaultModelSpec::AdversarialBudget;
+        assert_eq!(widths(adversary, 30, threads(1), &CENSUS), [0]);
+        assert_eq!(widths(adversary, 30, forced, &CENSUS), [0]);
+        // Explicit graphs batch like the closed-form families.
         let explicit = faultnet_topology::explicit::ExplicitGraph::from_topology(&mesh);
         assert!(TrialBatch::supported(&explicit));
         assert_eq!(
@@ -289,10 +365,10 @@ mod tests {
                 config,
                 pair,
                 3,
-                batched,
-                &Stores
+                TrialExec::sequential(),
+                &CENSUS
             ),
-            [true; 3]
+            [3; 3]
         );
     }
 
@@ -312,7 +388,7 @@ mod tests {
             mesh.canonical_pair(),
             3,
             exec,
-            &Stores,
+            &CENSUS,
         );
     }
 }

@@ -8,8 +8,8 @@
 //! edge states exactly — overlays (node masks, severed edges, correlated
 //! regions) *compose* on the transposed substrate because they only ever
 //! close edges per lane, never couple lanes. The adversary opts out
-//! (`lane_batchable() == false`) and batched entry points must fall back
-//! to the scalar engine for it.
+//! (`lane_batchable() == false`) and the trial loop runs it on the scalar
+//! engine.
 
 use faultnet_faultmodel::{
     AdversarialBudget, BernoulliEdges, BernoulliNodes, CorrelatedRegions, FaultInstance,

@@ -191,7 +191,7 @@ impl<'g, T: Topology + ?Sized> BitsetSample<'g, T> {
             Some(bound) => {
                 let mut words = vec![0u64; bound.div_ceil(64) as usize];
                 let mut num_open = 0u64;
-                for e in graph.edges() {
+                graph.for_each_edge(&mut |e| {
                     if states.is_open(e) {
                         let index = graph
                             .edge_index(e)
@@ -199,7 +199,7 @@ impl<'g, T: Topology + ?Sized> BitsetSample<'g, T> {
                         words[(index / 64) as usize] |= 1 << (index % 64);
                         num_open += 1;
                     }
-                }
+                });
                 BitsetSample {
                     graph,
                     words,
@@ -506,6 +506,24 @@ mod tests {
             BitsetSample::from_states(&tt, &sampler).backend(),
             SampleBackend::Bitset
         );
+    }
+
+    #[test]
+    fn explicit_bitset_holds_one_bit_per_edge() {
+        // The largest scale-free substrate the server accepts: an n×Δ slot
+        // space would be 166 slots per edge here.
+        let ba = faultnet_topology::load::SubstrateSpec::parse("ba-65536-8")
+            .unwrap()
+            .build();
+        let sample = BitsetSample::from_config(&ba, &PercolationConfig::new(0.5, 2));
+        assert_eq!(sample.backend(), SampleBackend::Bitset);
+        assert_eq!(sample.words().len() as u64, ba.num_edges().div_ceil(64));
+        let open = sample
+            .words()
+            .iter()
+            .map(|w| u64::from(w.count_ones()))
+            .sum::<u64>();
+        assert_eq!(open, sample.num_open());
     }
 
     #[test]

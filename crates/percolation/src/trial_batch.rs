@@ -49,21 +49,21 @@ use crate::PercolationConfig;
 /// Maximum number of lanes (trials) per batch: one per bit of a `u64`.
 pub const MAX_LANES: usize = 64;
 
-/// Clamps a user-facing `--trial-batch` value to a valid lane count.
+/// Clamps a requested lane width (`TrialExec::trial_batch`, or the trial
+/// loop's own choice) to a valid lane count.
 ///
-/// `0` is reserved by the CLI for "batching off" and must be routed to the
-/// scalar engine *before* this function: silently mapping it to 1 lane
-/// would turn "scalar requested" into "batched with a single lane" — a
-/// different code path that happens to produce the same numbers, which is
-/// exactly the kind of divergence the equivalence suites exist to make
-/// loud. Values above [`MAX_LANES`] saturate at 64 (a word holds no more),
+/// `0` means "no lanes" and must be routed to the scalar engine *before*
+/// this function: silently mapping it to 1 lane would turn "scalar" into
+/// "batched with a single lane" — a different code path that happens to
+/// produce the same numbers, which is exactly the kind of divergence the
+/// equivalence suites exist to make loud. Values above [`MAX_LANES`] saturate at 64 (a word holds no more),
 /// and `1..=64` pass through. Exposed so the trial loop and the tests
 /// agree on one clamping rule.
 ///
 /// # Panics
 ///
-/// Debug builds panic on `requested == 0` (the caller forwarded the CLI's
-/// "off" sentinel instead of dispatching on it); release builds clamp to 1
+/// Debug builds panic on `requested == 0` (the caller forwarded the "no
+/// lanes" sentinel instead of dispatching on it); release builds clamp to 1
 /// so a slipped sentinel degrades to the old behaviour rather than
 /// aborting a long measurement.
 pub fn clamp_lanes(requested: usize) -> usize {
@@ -159,7 +159,7 @@ impl<'g, T: Topology + ?Sized> TrialBatch<'g, T> {
             .edge_index_bound()
             .expect("TrialBatch requires a closed-form edge index; use the scalar fallback");
         let mut words = vec![0u64; bound as usize];
-        for e in graph.edges() {
+        graph.for_each_edge(&mut |e| {
             let index = graph
                 .edge_index(e)
                 .expect("edge_index_bound() is Some, so every edge must index");
@@ -168,7 +168,7 @@ impl<'g, T: Topology + ?Sized> TrialBatch<'g, T> {
                 word |= u64::from(lane_states.is_open(e)) << l;
             }
             words[index as usize] = word;
-        }
+        });
         TrialBatch {
             graph,
             words,

@@ -302,9 +302,9 @@ fn exhaustive_lane_by_lane_census_sweep() {
         for &(p, base_seed) in &[(0.1, 3u64), (0.5, 11), (0.9, 19)] {
             for batch_size in BATCH_SIZES {
                 let cfg = PercolationConfig::new(p, base_seed);
-                // `from_config` takes a lane count, not a knob value: the
-                // engines clamp the `--trial-batch` knob through
-                // `clamp_lanes` before constructing, and so does this sweep.
+                // `from_config` takes a lane count, not a requested width:
+                // the trial loop clamps its width through `clamp_lanes`
+                // before constructing, and so does this sweep.
                 let batch = TrialBatch::from_config(graph, &cfg, clamp_lanes(batch_size));
                 let (u, v) = graph.canonical_pair();
                 let connected = batch.connected_lanes(u, v);

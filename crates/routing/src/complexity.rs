@@ -5,9 +5,9 @@
 //! event `{u ∼ v}`**. The harness in this module turns that definition into a
 //! measurement procedure: sample independent fault instances, discard those
 //! where `u` and `v` are not connected (checking connectivity with an
-//! un-metered BFS or census — the ground truth, not a router), run the
-//! router on the remaining instances, verify any returned path, and record
-//! the probe counts.
+//! un-metered BFS — the ground truth, not a router), run the router on the
+//! remaining instances, verify any returned path, and record the probe
+//! counts.
 //!
 //! The fault process is pluggable: [`ComplexityHarness::measure`] draws
 //! each trial from any [`faultnet_faultmodel::FaultModel`] (the paper's
@@ -21,7 +21,6 @@
 use faultnet_faultmodel::trials::{run_trials, TrialExec, TrialVisitor};
 use faultnet_faultmodel::{FaultInstance, FaultModel};
 use faultnet_percolation::bfs::connected;
-use faultnet_percolation::components::ComponentCensus;
 use faultnet_percolation::sample::EdgeStates;
 use faultnet_percolation::trial_batch::{LaneView, TrialBatch};
 use faultnet_percolation::{EdgeSampler, PercolationConfig};
@@ -327,22 +326,19 @@ impl<T: Topology> ComplexityHarness<T> {
     /// `config.seed() + t`, and outcomes fold in trial order. `exec` only
     /// changes how the trials run, never the statistics:
     ///
-    /// * `exec.threads` fans trials (or lane chunks) across workers;
-    /// * `exec.trial_batch > 0` packs up to 64 trials into one
+    /// * `exec.threads` fans trials across workers;
+    /// * each trial runs on its own [`FaultInstance`]: a route reads a few
+    ///   edges of one instance at a time, so packing trials into lanes
+    ///   does not pay off, and the trial loop runs routing scalar;
+    /// * `{u ∼ v}` is checked with the early-exiting BFS [`connected`],
+    ///   which beats a whole census at every measured point
+    ///   (`conditioning/bfs_vs_census` in the `census` bench target);
+    /// * `exec.census_threads` does not apply: there is no census here;
+    /// * a forced `exec.trial_batch > 0` packs up to 64 trials into one
     ///   [`TrialBatch`] where the model and graph allow, and decides
     ///   conditioning for the whole chunk with
-    ///   [`TrialBatch::connected_lanes`];
-    /// * on a single instance, `exec.census_threads > 1` checks `{u ∼ v}`
-    ///   with [`ComponentCensus::compute_parallel`] instead of the
-    ///   early-exiting BFS [`connected`]. The BFS is faster at every
-    ///   measured point. Below `1/n` it stops once `u`'s small component
-    ///   is exhausted, where a census scans every edge: H₁₆ at p = 0.05
-    ///   takes 0.9 µs by BFS vs 16.5 ms by sequential census. With a
-    ///   giant component it chases most of the graph over a dense visited
-    ///   bitset and still wins: H₁₄ at p = 0.5 takes 1.3 ms by BFS vs
-    ///   4.6 ms by sequential census and 2.9 ms on two census workers
-    ///   (`conditioning/bfs_vs_census` in the `census` bench target,
-    ///   release build, 2-core VM).
+    ///   [`TrialBatch::connected_lanes`]. It exists for the equivalence
+    ///   suites and benchmarks.
     ///
     /// For every `exec`, the result equals
     /// [`ComplexityHarness::measure_with_model`] — every counter and the
@@ -366,9 +362,9 @@ impl<T: Topology> ComplexityHarness<T> {
     /// let (u, v) = harness.graph().canonical_pair();
     /// let model = BernoulliNodes::new();
     /// let sequential = harness.measure_with_model(&model, &FloodRouter::new(), u, v, 12);
-    /// let exec = TrialExec::sequential().with_threads(4).with_trial_batch(64);
-    /// let batched = harness.measure(&model, &FloodRouter::new(), u, v, 12, exec);
-    /// assert_eq!(sequential, batched);
+    /// let exec = TrialExec::sequential().with_threads(4);
+    /// let parallel = harness.measure(&model, &FloodRouter::new(), u, v, 12, exec);
+    /// assert_eq!(sequential, parallel);
     /// ```
     pub fn measure<M, R>(
         &self,
@@ -389,7 +385,6 @@ impl<T: Topology> ComplexityHarness<T> {
             router,
             u,
             v,
-            census_threads: exec.census_threads,
         };
         let per_trial = run_trials(
             model,
@@ -457,7 +452,6 @@ struct Conditioned<'a, T, R> {
     router: &'a R,
     u: VertexId,
     v: VertexId,
-    census_threads: usize,
 }
 
 impl<T, R> Conditioned<'_, T, R>
@@ -471,14 +465,8 @@ where
         S: EdgeStates + Sync,
         R: Router<T, S>,
     {
-        let (graph, u, v) = (&self.harness.graph, self.u, self.v);
-        let conditioned = if self.census_threads <= 1 {
-            connected(graph, states, u, v)
-        } else {
-            ComponentCensus::compute_parallel(graph, states, self.census_threads)
-                .same_component(u, v)
-        };
-        if !conditioned {
+        let (u, v) = (self.u, self.v);
+        if !connected(&self.harness.graph, states, u, v) {
             faultnet_obs::count("routing.trials.rejected", 1);
             return None;
         }
@@ -531,10 +519,9 @@ mod tests {
     use faultnet_topology::complete::CompleteGraph;
     use faultnet_topology::hypercube::Hypercube;
 
-    fn exec(threads: usize, census_threads: usize, trial_batch: usize) -> TrialExec {
+    fn exec(threads: usize, trial_batch: usize) -> TrialExec {
         TrialExec::sequential()
             .with_threads(threads)
-            .with_census_threads(census_threads)
             .with_trial_batch(trial_batch)
     }
 
@@ -613,7 +600,7 @@ mod tests {
             let sequential = bernoulli(&harness, &FloodRouter::new(), 16);
             for threads in [1usize, 2, 3, 8, 32] {
                 let parallel =
-                    harness.measure(&model, &FloodRouter::new(), u, v, 16, exec(threads, 1, 0));
+                    harness.measure(&model, &FloodRouter::new(), u, v, 16, exec(threads, 0));
                 assert_eq!(sequential, parallel, "seed {seed}, threads {threads}");
             }
         }
@@ -632,7 +619,7 @@ mod tests {
             u,
             v,
             10,
-            exec(4, 1, 0),
+            exec(4, 0),
         );
         assert_eq!(sequential, parallel);
         assert!(parallel.budget_exhaustions() > 0);
@@ -662,7 +649,7 @@ mod tests {
             u,
             v,
             0,
-            exec(4, 1, 0),
+            exec(4, 0),
         );
         assert_eq!(stats.attempted_trials(), 0);
         assert_eq!(stats.conditioned_trials(), 0);
@@ -711,7 +698,7 @@ mod tests {
             );
             for threads in [1usize, 2, 4] {
                 let parallel =
-                    harness.measure(&model, &FloodRouter::new(), u, v, 12, exec(threads, 1, 0));
+                    harness.measure(&model, &FloodRouter::new(), u, v, 12, exec(threads, 0));
                 assert_eq!(sequential, parallel, "{spec} diverged at threads {threads}");
             }
         }
@@ -757,39 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn census_conditioning_is_bit_identical_to_bfs_conditioning() {
-        // census_threads > 1 swaps the single-instance conditioning check
-        // from BFS to the parallel census; both decide exactly the same
-        // connectivity event, so measurements must not move by a bit — for
-        // the paper's model and for every fault model, sequential or
-        // parallel.
-        let cube = Hypercube::new(8);
-        let harness = ComplexityHarness::new(cube, PercolationConfig::new(0.45, 9));
-        let (u, v) = cube.canonical_pair();
-        for spec in FaultModelSpec::ALL {
-            let model = spec.build();
-            let bfs = harness.measure_with_model(&model, &FloodRouter::new(), u, v, 14);
-            assert!(bfs.conditioned_trials() > 0, "{spec}: vacuous check");
-            for census_threads in [2usize, 4] {
-                for threads in [1usize, 2] {
-                    let censused = harness.measure(
-                        &model,
-                        &FloodRouter::new(),
-                        u,
-                        v,
-                        14,
-                        exec(threads, census_threads, 0),
-                    );
-                    assert_eq!(
-                        bfs, censused,
-                        "{spec}: census_threads {census_threads}, threads {threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn cached_adversary_placement_is_byte_identical_to_per_trial_recomputation() {
         // The trial loop hoists the adversary's greedy placement once per
         // measurement; the uncached oracle asks the model for a fresh
@@ -812,7 +766,7 @@ mod tests {
         }
         assert!(uncached.conditioned_trials() > 0, "vacuous comparison");
         for threads in [1usize, 3] {
-            let cached = harness.measure(&model, &router, u, v, trials, exec(threads, 1, 0));
+            let cached = harness.measure(&model, &router, u, v, trials, exec(threads, 0));
             assert_eq!(cached, uncached, "threads {threads}");
         }
     }
@@ -836,7 +790,7 @@ mod tests {
                         u,
                         v,
                         14,
-                        exec(threads, 1, trial_batch),
+                        exec(threads, trial_batch),
                     );
                     assert_eq!(
                         scalar, batched,
@@ -878,7 +832,7 @@ mod tests {
             u,
             v,
             0,
-            exec(4, 1, 64),
+            exec(4, 64),
         );
         assert_eq!(stats.attempted_trials(), 0);
         assert_eq!(stats.conditioned_trials(), 0);
@@ -897,14 +851,8 @@ mod tests {
             let scalar = harness.measure_with_model(&model, &FloodRouter::new(), u, v, 12);
             assert!(scalar.conditioned_trials() > 0, "{spec}: vacuous check");
             for trial_batch in [1usize, 5, 64] {
-                let batched = harness.measure(
-                    &model,
-                    &FloodRouter::new(),
-                    u,
-                    v,
-                    12,
-                    exec(2, 1, trial_batch),
-                );
+                let batched =
+                    harness.measure(&model, &FloodRouter::new(), u, v, 12, exec(2, trial_batch));
                 assert_eq!(
                     scalar, batched,
                     "{spec} diverged at trial_batch {trial_batch}"

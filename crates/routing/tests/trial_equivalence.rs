@@ -5,8 +5,9 @@
 //! [`faultnet_routing::complexity::ComplexityStats`] **equal** (derived
 //! `Eq` — every counter, every probe count, the router name) to the
 //! sequential scalar oracle [`ComplexityHarness::measure_with_model`], for
-//! every router × fault model × graph × thread count × census thread count
-//! × batch size combination. Probe counts are folded in trial order on
+//! every router × fault model × graph × thread count × forced batch size
+//! combination. The trial loop runs routing scalar on its own; the forced
+//! widths keep the lane path pinned as an oracle. Probe counts are folded in trial order on
 //! every path, so even the probe-count *vector* must match element for
 //! element — the strongest equality the type can express.
 
@@ -32,15 +33,12 @@ const BATCH_SIZES: [usize; 5] = [1, 63, 64, 65, 200];
 fn exec_grid(trial_batches: &[usize]) -> Vec<TrialExec> {
     let mut grid = Vec::new();
     for threads in [1, 2, 3] {
-        for census_threads in [1, 2] {
-            for &trial_batch in trial_batches {
-                grid.push(
-                    TrialExec::sequential()
-                        .with_threads(threads)
-                        .with_census_threads(census_threads)
-                        .with_trial_batch(trial_batch),
-                );
-            }
+        for &trial_batch in trial_batches {
+            grid.push(
+                TrialExec::sequential()
+                    .with_threads(threads)
+                    .with_trial_batch(trial_batch),
+            );
         }
     }
     grid

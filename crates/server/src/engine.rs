@@ -138,12 +138,6 @@ impl Graph {
 /// anyway — this just removes the knob entirely).
 pub const MEASURE_THREADS: usize = 1;
 
-/// Trial-batch lanes for the probes metric: full 64-lane words. Batching
-/// is bit-identical to the scalar engine by the workspace contract, and
-/// models/families that cannot batch fall back to the scalar path inside
-/// the harness.
-pub const TRIAL_LANES: usize = 64;
-
 fn probes_answer<T: Topology + Sync + Clone>(
     graph: &T,
     query: &Query,
@@ -153,9 +147,7 @@ fn probes_answer<T: Topology + Sync + Clone>(
     let model = query.fault_model.build();
     let config = PercolationConfig::new(query.p, query.seed);
     let harness = ComplexityHarness::new(graph.clone(), config);
-    let exec = TrialExec::sequential()
-        .with_threads(MEASURE_THREADS)
-        .with_trial_batch(TRIAL_LANES);
+    let exec = TrialExec::sequential().with_threads(MEASURE_THREADS);
     let stats = harness.measure(
         &*model,
         &FloodRouter::new(),

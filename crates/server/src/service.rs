@@ -46,7 +46,7 @@ pub struct Response {
 pub struct QueryService {
     response_cache: Mutex<LruCache<String, Arc<Vec<u8>>>>,
     census_cache: CensusCache,
-    coalescer: Coalescer<Arc<Vec<u8>>>,
+    coalescer: Coalescer<(Arc<Vec<u8>>, CacheStatus)>,
     metrics: Metrics,
 }
 
@@ -126,19 +126,27 @@ impl QueryService {
                 key_hash,
             };
         }
-        let (body, role) = self.coalescer.run(&key, || {
+        let ((body, status), role) = self.coalescer.run(&key, || {
+            // The leader fills the response cache before its flight ends,
+            // and a new leader looks again: a request that missed the cache
+            // just as the previous flight ended gets a hit, not a second
+            // measurement.
+            let mut cache = self.response_cache.lock().expect("response cache poisoned");
+            if let Some(body) = cache.get(&key) {
+                return (body, CacheStatus::Hit);
+            }
+            drop(cache);
             let mut rendered = graph.answer(&query, pair, &self.census_cache).render();
             rendered.push('\n');
-            Arc::new(rendered.into_bytes())
+            let body = Arc::new(rendered.into_bytes());
+            self.response_cache
+                .lock()
+                .expect("response cache poisoned")
+                .insert(key.clone(), Arc::clone(&body));
+            (body, CacheStatus::Miss)
         });
         let cache = match role {
-            Role::Leader => {
-                self.response_cache
-                    .lock()
-                    .expect("response cache poisoned")
-                    .insert(key, Arc::clone(&body));
-                CacheStatus::Miss
-            }
+            Role::Leader => status,
             Role::Waiter => CacheStatus::Coalesced,
         };
         Response {
@@ -210,10 +218,6 @@ fn version_response() -> Response {
         (
             "measure_threads".into(),
             Json::UInt(crate::engine::MEASURE_THREADS as u64),
-        ),
-        (
-            "trial_lanes".into(),
-            Json::UInt(crate::engine::TRIAL_LANES as u64),
         ),
         ("default_workers".into(), Json::UInt(config.workers as u64)),
         (
@@ -369,7 +373,6 @@ mod tests {
             text.starts_with(&format!("{{\"version\":\"{}\"", env!("CARGO_PKG_VERSION"))),
             "version leads the body: {text}"
         );
-        assert!(text.contains("\"trial_lanes\":64"), "{text}");
         assert!(text.contains("\"measure_threads\":1"), "{text}");
         assert!(text.ends_with("}\n"), "{text}");
         // Two scrapes are byte-identical for the life of the process.

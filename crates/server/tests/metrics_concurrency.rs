@@ -153,6 +153,6 @@ fn version_is_byte_identical_across_concurrent_clients() {
     }
     let text = std::str::from_utf8(&bodies[0].1).unwrap();
     assert!(text.contains("\"version\":"));
-    assert!(text.contains("\"trial_lanes\":64"));
+    assert!(text.contains("\"measure_threads\":1"));
     handle.shutdown();
 }

@@ -1,4 +1,4 @@
-//! An explicit adjacency-list graph.
+//! An explicit graph in compressed sparse row (CSR) form.
 //!
 //! Most of the workspace operates on the implicit families, but an explicit
 //! graph is occasionally useful: as a conversion target when an algorithm
@@ -10,7 +10,14 @@ use std::ops::ControlFlow;
 
 use crate::{EdgeId, Topology, VertexId};
 
-/// A graph stored as adjacency lists.
+/// A graph stored as compressed sparse rows: one offset per vertex into a
+/// single array of sorted neighbor ids.
+///
+/// Vertex `v` *owns* the arcs to its larger neighbors (the upper part of
+/// its row), so every edge is owned by its lower endpoint exactly once.
+/// [`Topology::edge_index`] numbers edges by owner, then by rank within the
+/// owner's upper row: the index space is exactly `0..num_edges()`, found by
+/// one binary search.
 ///
 /// # Examples
 ///
@@ -21,12 +28,21 @@ use crate::{EdgeId, Topology, VertexId};
 /// let g = ExplicitGraph::from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]);
 /// assert_eq!(g.num_edges(), 4);
 /// assert_eq!(g.degree(VertexId(2)), 3);
+/// assert_eq!(g.edge_index_bound(), Some(4));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExplicitGraph {
-    adjacency: Vec<Vec<VertexId>>,
-    num_edges: u64,
-    /// Cached so `edge_index_bound` / `max_degree` need no O(V) scan.
+    /// Row `v` is `targets[offsets[v]..offsets[v + 1]]`; `n + 1` entries.
+    offsets: Vec<usize>,
+    /// Every row's neighbors, each row sorted by id.
+    targets: Vec<VertexId>,
+    /// Where row `v`'s upper part (the neighbors `> v`, which `v` owns)
+    /// starts in `targets`.
+    upper: Vec<usize>,
+    /// Edges owned by the vertices `< v`, i.e. the index of `v`'s first
+    /// owned edge; `n + 1` entries, the last being `num_edges`.
+    owned_before: Vec<u64>,
+    /// Cached so `max_degree` needs no O(V) scan.
     max_degree: usize,
     label: String,
 }
@@ -34,12 +50,7 @@ pub struct ExplicitGraph {
 impl ExplicitGraph {
     /// Creates an empty graph on `n` isolated vertices.
     pub fn new(n: u64) -> Self {
-        ExplicitGraph {
-            adjacency: vec![Vec::new(); n as usize],
-            num_edges: 0,
-            max_degree: 0,
-            label: format!("explicit(n={n})"),
-        }
+        ExplicitGraph::from_edges(n, [])
     }
 
     /// Builds a graph on `n` vertices from an edge list. Duplicate edges are
@@ -49,17 +60,13 @@ impl ExplicitGraph {
     /// are the same undirected edge.
     ///
     /// The whole list is canonicalised, sorted, and deduplicated in
-    /// `O(E log E)` before adjacency construction — no per-insertion
-    /// duplicate scan, so hub vertices (scale-free graphs routinely
-    /// concentrate thousands of edges on one vertex) cost the same per edge
-    /// as everything else. Adjacency lists come out sorted by neighbor id,
-    /// a deterministic order independent of the input order, so
-    /// [`Topology::edge_index`] slots — and everything rendered from them —
-    /// are byte-stable across permutations of the same edge set.
-    ///
-    /// For incremental, strictly validated construction use
-    /// [`ExplicitGraph::add_edge`], which *panics* on self-loops instead of
-    /// skipping them.
+    /// `O(E log E)` before the rows are filled — no per-insertion duplicate
+    /// scan, so hub vertices (scale-free graphs routinely concentrate
+    /// thousands of edges on one vertex) cost the same per edge as
+    /// everything else. Rows come out sorted by neighbor id, a deterministic
+    /// order independent of the input order, so [`Topology::edge_index`]
+    /// slots — and everything rendered from them — are byte-stable across
+    /// permutations of the same edge set.
     ///
     /// # Panics
     ///
@@ -73,27 +80,52 @@ impl ExplicitGraph {
             assert!(a < n, "vertex v{a} out of range");
             assert!(b < n, "vertex v{b} out of range");
             if a == b {
-                continue; // self-loops are ignored on the bulk path
+                continue; // self-loops are ignored
             }
             canonical.push((a.min(b), a.max(b)));
         }
         canonical.sort_unstable();
         canonical.dedup();
-        let mut adjacency = vec![Vec::new(); n as usize];
+        let n = n as usize;
+        let mut degree = vec![0usize; n];
+        let mut owned = vec![0u64; n];
+        for &(a, b) in &canonical {
+            degree[a as usize] += 1;
+            degree[b as usize] += 1;
+            owned[a as usize] += 1;
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut owned_before = Vec::with_capacity(n + 1);
+        let (mut arcs, mut edges_so_far) = (0usize, 0u64);
+        for v in 0..n {
+            offsets.push(arcs);
+            owned_before.push(edges_so_far);
+            arcs += degree[v];
+            edges_so_far += owned[v];
+        }
+        offsets.push(arcs);
+        owned_before.push(edges_so_far);
         // Scanning canonical (lo, hi) pairs in sorted order appends each
         // vertex's smaller neighbors in increasing order first (edges where
         // it is `hi`, sorted by `lo`) and then its larger neighbors in
         // increasing order (edges where it is `lo`, sorted by `hi`), so
-        // every adjacency list ends up fully sorted without a second pass.
+        // every row ends up fully sorted without a second pass, with its
+        // owned arcs last.
+        let mut cursor = offsets[..n].to_vec();
+        let mut targets = vec![VertexId(0); arcs];
         for &(a, b) in &canonical {
-            adjacency[a as usize].push(VertexId(b));
-            adjacency[b as usize].push(VertexId(a));
+            targets[cursor[a as usize]] = VertexId(b);
+            cursor[a as usize] += 1;
+            targets[cursor[b as usize]] = VertexId(a);
+            cursor[b as usize] += 1;
         }
-        let max_degree = adjacency.iter().map(Vec::len).max().unwrap_or(0);
+        let upper = (0..n).map(|v| offsets[v + 1] - owned[v] as usize).collect();
         ExplicitGraph {
-            adjacency,
-            num_edges: canonical.len() as u64,
-            max_degree,
+            offsets,
+            targets,
+            upper,
+            owned_before,
+            max_degree: degree.into_iter().max().unwrap_or(0),
             label: format!("explicit(n={n})"),
         }
     }
@@ -101,9 +133,8 @@ impl ExplicitGraph {
     /// Materialises any [`Topology`] into an explicit graph (intended for
     /// small graphs; the hypercube at `n = 20` would need hundreds of MB).
     ///
-    /// Built through the bulk [`ExplicitGraph::from_edges`] path, so the
-    /// adjacency lists are sorted by neighbor id regardless of the source's
-    /// enumeration order.
+    /// Built through [`ExplicitGraph::from_edges`], so the rows are sorted
+    /// by neighbor id regardless of the source's enumeration order.
     pub fn from_topology<T: Topology + ?Sized>(source: &T) -> Self {
         let mut g = ExplicitGraph::from_edges(
             source.num_vertices(),
@@ -113,53 +144,30 @@ impl ExplicitGraph {
         g
     }
 
-    /// Adds the undirected edge `{a, b}`. Returns `true` if the edge was new.
-    ///
-    /// This is the strict direct API: hand-built graphs want a self-loop to
-    /// fail loudly, so unlike the forgiving bulk [`ExplicitGraph::from_edges`]
-    /// path it panics rather than skipping. It appends in insertion order
-    /// (no re-sort) and scans one adjacency list per call to detect
-    /// duplicates — fine for hand-crafted graphs, quadratic on hub vertices;
-    /// bulk construction should go through [`ExplicitGraph::from_edges`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is out of range or `a == b`.
-    pub fn add_edge(&mut self, a: VertexId, b: VertexId) -> bool {
-        assert!(self.contains(a), "vertex {a} out of range");
-        assert!(self.contains(b), "vertex {b} out of range");
-        assert_ne!(a, b, "self-loops are not supported");
-        if self.adjacency[a.0 as usize].contains(&b) {
-            return false;
-        }
-        self.adjacency[a.0 as usize].push(b);
-        self.adjacency[b.0 as usize].push(a);
-        self.max_degree = self
-            .max_degree
-            .max(self.adjacency[a.0 as usize].len())
-            .max(self.adjacency[b.0 as usize].len());
-        self.num_edges += 1;
-        true
-    }
-
     /// Sets the human-readable name reported by [`Topology::name`].
     pub fn set_label(&mut self, label: impl Into<String>) {
         self.label = label.into();
+    }
+
+    /// The sorted neighbors of `v`.
+    fn row(&self, v: VertexId) -> &[VertexId] {
+        assert!(self.contains(v), "vertex {v} out of range");
+        let v = v.0 as usize;
+        &self.targets[self.offsets[v]..self.offsets[v + 1]]
     }
 }
 
 impl Topology for ExplicitGraph {
     fn num_vertices(&self) -> u64 {
-        self.adjacency.len() as u64
+        self.upper.len() as u64
     }
 
     fn num_edges(&self) -> u64 {
-        self.num_edges
+        self.owned_before[self.upper.len()]
     }
 
     fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        assert!(self.contains(v), "vertex {v} out of range");
-        self.adjacency[v.0 as usize].clone()
+        self.row(v).to_vec()
     }
 
     /// Walks the stored row in place; no clone.
@@ -169,16 +177,14 @@ impl Topology for ExplicitGraph {
         v: VertexId,
         f: &mut dyn FnMut(VertexId) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        assert!(self.contains(v), "vertex {v} out of range");
-        for &w in &self.adjacency[v.0 as usize] {
+        for &w in self.row(v) {
             f(w)?;
         }
         ControlFlow::Continue(())
     }
 
     fn degree(&self, v: VertexId) -> usize {
-        assert!(self.contains(v), "vertex {v} out of range");
-        self.adjacency[v.0 as usize].len()
+        self.row(v).len()
     }
 
     fn max_degree(&self) -> usize {
@@ -189,24 +195,22 @@ impl Topology for ExplicitGraph {
         self.label.clone()
     }
 
-    /// `lo·Δ + slot`, where Δ is the current maximum degree and `slot` is
-    /// the position of `hi` in `lo`'s adjacency list. Indices are a pure
-    /// function of the graph's current edge set (later `add_edge` calls may
-    /// re-shape the space — rebuild any materialised sample after mutating).
-    /// Each query scans one adjacency list (O(Δ)), which keeps the escape
-    /// hatch on the bitset path without maintaining an extra map.
+    /// The edge's rank among all owned arcs: the edges owned by vertices
+    /// below `lo`, plus the position of `hi` in `lo`'s sorted upper row
+    /// (one binary search).
     fn edge_index(&self, edge: EdgeId) -> Option<u64> {
         if !self.contains(edge.hi()) {
             return None;
         }
-        let slot = self.adjacency[edge.lo().0 as usize]
-            .iter()
-            .position(|w| *w == edge.hi())?;
-        Some(edge.lo().0 * self.max_degree as u64 + slot as u64)
+        let lo = edge.lo().0 as usize;
+        let owned = &self.targets[self.upper[lo]..self.offsets[lo + 1]];
+        let rank = owned.binary_search(&edge.hi()).ok()?;
+        Some(self.owned_before[lo] + rank as u64)
     }
 
+    /// Exactly `num_edges()`: the index space has no unused slots.
     fn edge_index_bound(&self) -> Option<u64> {
-        Some(self.num_vertices() * self.max_degree as u64)
+        Some(self.num_edges())
     }
 }
 
@@ -235,8 +239,7 @@ mod tests {
     fn from_edges_skips_self_loops_per_the_documented_contract() {
         // The loader-contract pin: a raw real-world edge list — self-loops,
         // duplicates in both orientations, all mixed in — must build the
-        // documented graph without panicking. (The strict add_edge path
-        // still panics on a self-loop; see self_loop_rejected below.)
+        // documented graph without panicking.
         let g = ExplicitGraph::from_edges(
             4,
             [
@@ -276,26 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_and_incremental_construction_agree_on_clean_input() {
-        // On an already-clean edge list the bulk path and the strict path
-        // build the same graph up to adjacency order (which the bulk path
-        // canonicalises by sorting).
-        let edges = [(0u64, 1u64), (1, 2), (2, 0), (2, 3), (3, 4)];
-        let bulk = ExplicitGraph::from_edges(5, edges);
-        let mut strict = ExplicitGraph::new(5);
-        for (a, b) in edges {
-            assert!(strict.add_edge(VertexId(a), VertexId(b)));
-        }
-        assert_eq!(bulk.num_edges(), strict.num_edges());
-        assert_eq!(bulk.max_degree(), strict.max_degree());
-        for v in bulk.vertices() {
-            let mut s = strict.neighbors(v);
-            s.sort();
-            assert_eq!(bulk.neighbors(v), s);
-        }
-    }
-
-    #[test]
     fn from_topology_preserves_structure() {
         let cube = Hypercube::new(4);
         let g = ExplicitGraph::from_topology(&cube);
@@ -321,43 +304,39 @@ mod tests {
 
     #[test]
     fn edge_index_uses_adjacency_slots() {
-        let mut g = ExplicitGraph::from_edges(5, [(0, 1), (1, 2), (2, 0)]);
-        g.add_edge(VertexId(2), VertexId(3));
-        g.add_edge(VertexId(2), VertexId(4));
+        // Rows: 0 → [1, 2], 1 → [0, 2], 2 → [0, 1, 3, 4], 3 → [2], 4 → [2].
+        // Vertex 0 owns {0,1}, {0,2}; vertex 1 owns {1,2}; vertex 2 owns
+        // {2,3}, {2,4}; 3 and 4 own nothing.
+        let g = ExplicitGraph::from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 2)]);
         assert_eq!(g.max_degree(), 4);
-        assert_eq!(g.edge_index_bound(), Some(5 * 4));
-        // {0, 1}: slot 0 of vertex 0.
-        assert_eq!(g.edge_index(EdgeId::new(VertexId(0), VertexId(1))), Some(0));
-        // {2, 4}: vertex 2's adjacency is [0, 1, 3, 4] (bulk-sorted prefix,
-        // then add_edge insertion order), so slot 3.
-        assert_eq!(
-            g.edge_index(EdgeId::new(VertexId(2), VertexId(4))),
-            Some(2 * 4 + 3)
-        );
+        assert_eq!(g.edge_index_bound(), Some(5));
+        let index = |a, b| g.edge_index(EdgeId::new(VertexId(a), VertexId(b)));
+        assert_eq!(index(0, 1), Some(0));
+        assert_eq!(index(2, 0), Some(1));
+        assert_eq!(index(1, 2), Some(2));
+        // {2, 4}: slot 1 of vertex 2's owned arcs [3, 4], after the three
+        // edges owned by vertices 0 and 1.
+        assert_eq!(index(4, 2), Some(3 + 1));
         // Non-edge and out-of-range pairs are rejected.
-        assert_eq!(g.edge_index(EdgeId::new(VertexId(0), VertexId(3))), None);
-        assert_eq!(g.edge_index(EdgeId::new(VertexId(0), VertexId(9))), None);
+        assert_eq!(index(0, 3), None);
+        assert_eq!(index(3, 4), None);
+        assert_eq!(index(0, 9), None);
+        assert_eq!(index(7, 9), None);
     }
 
     #[test]
     fn labels() {
         let mut g = ExplicitGraph::new(3);
         assert_eq!(g.name(), "explicit(n=3)");
+        assert_eq!(g.num_edges(), 0);
+        assert_eq!(g.edge_index_bound(), Some(0));
         g.set_label("triangle");
         assert_eq!(g.name(), "triangle");
     }
 
     #[test]
-    #[should_panic(expected = "self-loops")]
-    fn self_loop_rejected() {
-        let mut g = ExplicitGraph::new(2);
-        g.add_edge(VertexId(1), VertexId(1));
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_rejected() {
-        let mut g = ExplicitGraph::new(2);
-        g.add_edge(VertexId(0), VertexId(5));
+        let _ = ExplicitGraph::from_edges(2, [(0, 5)]);
     }
 }

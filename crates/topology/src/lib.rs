@@ -271,21 +271,27 @@ pub trait Topology {
         out
     }
 
-    /// All edges of the graph, each reported exactly once.
-    ///
-    /// The default implementation enumerates each vertex's neighbors and
-    /// keeps the edges whose canonical low endpoint is that vertex.
+    /// All edges of the graph, each reported exactly once, in
+    /// [`Topology::for_each_edge`] order.
     fn edges(&self) -> Vec<EdgeId> {
         let mut out = Vec::with_capacity(self.num_edges() as usize);
+        self.for_each_edge(&mut |e| out.push(e));
+        out
+    }
+
+    /// Visits every edge once without materialising the list: each
+    /// vertex's neighbors, keeping the edges whose canonical low endpoint
+    /// is that vertex. Filling a store this way saves an `|E|`-entry
+    /// allocation per instance (8 MB on H₁₆).
+    fn for_each_edge(&self, f: &mut dyn FnMut(EdgeId)) {
         for v in self.vertices() {
             let _ = self.for_each_neighbor(v, &mut |w| {
                 if v.0 < w.0 {
-                    out.push(EdgeId::new(v, w));
+                    f(EdgeId::new(v, w));
                 }
                 ControlFlow::Continue(())
             });
         }
-        out
     }
 
     /// Graph distance between `u` and `v` when the family admits a closed

@@ -50,7 +50,7 @@ edge_index_conformance_suite! {
     explicit_from_mesh => ExplicitGraph::from_topology(&Mesh::new(2, 5));
     explicit_with_isolated_vertices => ExplicitGraph::from_edges(6, [(0, 3), (3, 5)]);
     // Loaded and generated substrates (the E13 families) obey the same
-    // adjacency-slot edge_index contract as hand-built explicit graphs.
+    // CSR edge_index contract as hand-built explicit graphs.
     loaded_karate_club => faultnet_topology::load::karate_club().graph;
     loaded_dirty_edge_list => faultnet_topology::load::parse_edge_list(
         "# dirt: duplicates, a reversed duplicate, and self-loops\n\

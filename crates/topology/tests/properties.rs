@@ -12,6 +12,7 @@ use faultnet_topology::{
     cycle_matching::{CycleWithMatching, MatchingKind},
     de_bruijn::DeBruijn,
     double_tree::DoubleBinaryTree,
+    explicit::ExplicitGraph,
     hypercube::Hypercube,
     mesh::Mesh,
     shuffle_exchange::ShuffleExchange,
@@ -165,4 +166,66 @@ fn invariants_across_all_families() {
     check_topology_invariants(&DeBruijn::new(6));
     check_topology_invariants(&ShuffleExchange::new(6));
     check_topology_invariants(&Butterfly::new(4));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The CSR layout on dirty edge lists: duplicates in both orientations,
+    /// self-loops, isolated vertices (ids past every drawn endpoint) and
+    /// one hub joined to a third of the graph.
+    #[test]
+    fn explicit_csr_indexes_edges_densely(
+        n in 2u64..48,
+        raw in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..96),
+        hub in any::<u64>(),
+        rotation in any::<u64>(),
+    ) {
+        let drawn = n - n / 4; // the top quarter of the ids stays isolated
+        let hub = hub % drawn;
+        let mut edges: Vec<(u64, u64)> =
+            raw.iter().map(|&(a, b)| (a % drawn, b % drawn)).collect();
+        edges.extend((0..drawn).step_by(3).map(|v| (hub, v)));
+        edges.extend(raw.iter().take(8).map(|&(a, b)| (b % drawn, a % drawn)));
+        let g = ExplicitGraph::from_edges(n, edges.iter().copied());
+        let expected: std::collections::BTreeSet<(u64, u64)> = edges
+            .iter()
+            .filter(|(a, b)| a != b)
+            .map(|&(a, b)| (a.min(b), a.max(b)))
+            .collect();
+        prop_assert_eq!(g.num_edges(), expected.len() as u64);
+        prop_assert_eq!(g.edge_index_bound(), Some(g.num_edges()));
+
+        // edge_index is a bijection from edges() onto 0..num_edges().
+        let mut indices: Vec<u64> = g
+            .edges()
+            .into_iter()
+            .map(|e| g.edge_index(e).expect("every edge indexes"))
+            .collect();
+        indices.sort_unstable();
+        prop_assert_eq!(indices, (0..g.num_edges()).collect::<Vec<_>>());
+
+        // Rows are strictly increasing (sorted, no duplicates).
+        for v in g.vertices() {
+            let row = g.neighbors(v);
+            prop_assert!(row.windows(2).all(|w| w[0] < w[1]), "row {} unsorted", v);
+        }
+
+        // Exactly the expected pairs index; everything else is None.
+        for a in 0..n {
+            for b in a + 1..n + 2 {
+                let index = g.edge_index(EdgeId::new(VertexId(a), VertexId(b)));
+                prop_assert_eq!(index.is_some(), expected.contains(&(a, b)), "{{{}, {}}}", a, b);
+            }
+        }
+        prop_assert_eq!(g.edge_index(EdgeId::new(VertexId(n), VertexId(n + 1))), None);
+
+        // The graph does not depend on the input order or orientation.
+        let shift = rotation as usize % edges.len().max(1);
+        edges.rotate_left(shift);
+        edges.reverse();
+        let flipped = edges.iter().map(|&(a, b)| (b, a));
+        prop_assert_eq!(&ExplicitGraph::from_edges(n, flipped), &g);
+        check_topology_invariants(&g);
+    }
 }

@@ -38,12 +38,12 @@
 //!
 //! // Route between antipodal vertices with the flooding (BFS) router under
 //! // the paper's i.i.d. edge faults, conditioning on the two endpoints
-//! // being connected. The execution knobs (2 threads, 64 trials per
-//! // bitset word) change the wall clock, never the statistics.
+//! // being connected. The execution knob (2 threads) changes the wall
+//! // clock, never the statistics.
 //! let harness = ComplexityHarness::new(cube, cfg);
 //! let u = VertexId(0);
 //! let v = VertexId((1 << 10) - 1);
-//! let exec = TrialExec::sequential().with_threads(2).with_trial_batch(64);
+//! let exec = TrialExec::sequential().with_threads(2);
 //! let stats = harness.measure(&BernoulliEdges::new(), &FloodRouter::default(), u, v, 20, exec);
 //! assert!(stats.success_rate() > 0.0);
 //! ```

@@ -13,6 +13,7 @@ use faultnet::experiments::{
     mesh_routing::MeshRoutingExperiment,
     mesh_threshold::MeshThresholdExperiment,
     open_questions::OpenQuestionsExperiment,
+    real_world::RealWorldExperiment,
     suite::{registry, run_all_reports},
     Effort, TrialExec,
 };
@@ -69,19 +70,50 @@ fn run_all_quick_output_is_byte_identical_across_thread_counts() {
         render_suite(2, 4, 0),
         "threads=2 + census-threads=4 diverged from the sequential baseline"
     );
-    // And the trial-batched engine: `--trial-batch 64` switches E8a/E8b/E11
-    // onto the multispin substrate, which must also not move a byte (the
+    // And forced lane widths: packing every experiment's trials into
+    // multispin lanes, routing included, must also not move a byte (the
     // end-to-end half of crates/percolation/tests/trial_equivalence.rs).
     assert_eq!(
         baseline,
         render_suite(1, 1, 64),
-        "trial-batch=64 diverged from the scalar engine"
+        "trial-batch=64 diverged from the automatic store"
     );
     assert_eq!(
         baseline,
         render_suite(2, 2, 7),
         "threads=2 + census-threads=2 + trial-batch=7 diverged from the sequential baseline"
     );
+}
+
+/// The trial loop picks the instance store, so the census experiments —
+/// E8a on the hypercube, E13 on explicit substrates — must render the same
+/// Markdown under its automatic choice at one and two threads and under
+/// the forced widths 1 and 64.
+#[test]
+fn census_markdown_is_byte_identical_under_every_store() {
+    let auto = TrialExec::sequential();
+    let stores = [
+        auto.with_threads(2),
+        auto.with_trial_batch(1),
+        auto.with_trial_batch(64),
+    ];
+    let giant = |exec| {
+        HypercubeGiantExperiment::quick()
+            .with_exec(exec)
+            .run()
+            .render_markdown()
+    };
+    let real_world = |exec| {
+        RealWorldExperiment::quick()
+            .with_exec(exec)
+            .run()
+            .render_markdown()
+    };
+    let (giant_auto, real_world_auto) = (giant(auto), real_world(auto));
+    for exec in stores {
+        assert_eq!(giant_auto, giant(exec), "E8a under {exec:?}");
+        assert_eq!(real_world_auto, real_world(exec), "E13 under {exec:?}");
+    }
 }
 
 #[test]
