@@ -2,10 +2,12 @@
 //! union-find pass vs the edge-partitioned parallel engine
 //! (`ComponentCensus::compute_parallel`), across hypercube sizes.
 //!
-//! This is the per-instance ceiling the parallel census exists to lift: at
-//! n = 16 one census touches 524 288 edges, at n = 18 over 2.3 million —
-//! per *trial*, and the giant/connectivity grids run tens of trials per
-//! point. The `census/seq_vs_par` group reports both paths on the same
+//! At n = 16 one census touches 524 288 edges, at n = 18 over 2.3 million
+//! — per *trial*. No experiment runs the parallel engine: the trial loop
+//! already spreads the censuses of a grid point over `--threads`, which
+//! beat splitting each census on a 2-core machine, so `compute_parallel`
+//! is library code that this bench and the equivalence suite keep
+//! measured. The `census/seq_vs_par` group reports both paths on the same
 //! materialised instance so the speedup (on multi-core hardware) reads
 //! straight out of `cargo bench`; the two are bit-identical in output, so
 //! any measured gap is pure wall-clock. On a single-core box the parallel
@@ -45,38 +47,6 @@ fn bench_census_seq_vs_par(c: &mut Criterion) {
                 })
             });
         }
-    }
-    group.finish();
-}
-
-/// The census consumers the knob is threaded through, at the E8a quick
-/// scale: one hypercube giant/connectivity point measured with the
-/// sequential census vs the parallel one (identical numbers, different
-/// wall-clock on multi-core hardware).
-fn bench_hypercube_point_census_threads(c: &mut Criterion) {
-    use faultnet_experiments::exec::TrialExec;
-    use faultnet_experiments::hypercube_giant::measure_hypercube_point;
-    let mut group = c.benchmark_group("census/hypercube_point");
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(2));
-    group.sample_size(10);
-    for &census_threads in &[1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("census_threads", census_threads),
-            &census_threads,
-            |b, &census_threads| {
-                b.iter(|| {
-                    measure_hypercube_point(
-                        12,
-                        0.45,
-                        3,
-                        11,
-                        TrialExec::sequential().with_census_threads(census_threads),
-                    )
-                    .giant_fraction
-                })
-            },
-        );
     }
     group.finish();
 }
@@ -273,7 +243,6 @@ criterion_group!(
     benches,
     bench_census_seq_vs_par,
     bench_conditioning_bfs_vs_census,
-    bench_hypercube_point_census_threads,
     bench_incremental_vs_rescan,
     bench_uniform_churn
 );

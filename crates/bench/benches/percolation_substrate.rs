@@ -4,9 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use faultnet_experiments::chemical_distance::measure_stretch_point;
-use faultnet_experiments::exec::TrialExec;
 use faultnet_experiments::hypercube_giant::measure_hypercube_point;
 use faultnet_experiments::threshold::giant_fraction_sweep;
+use faultnet_experiments::TrialExec;
 use faultnet_faultmodel::BernoulliEdges;
 use faultnet_percolation::components::ComponentCensus;
 use faultnet_percolation::sample::{BitsetSample, EdgeStates, FrozenSample};

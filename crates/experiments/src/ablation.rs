@@ -28,8 +28,8 @@ use faultnet_topology::hypercube::Hypercube;
 use faultnet_topology::mesh::Mesh;
 use faultnet_topology::Topology;
 
-use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
+use crate::TrialExec;
 
 /// Summary of one router in the hypercube router ablation.
 #[derive(Debug, Clone, PartialEq)]
@@ -283,15 +283,8 @@ mod tests {
 
     #[test]
     fn router_ablation_orders_routers_sensibly() {
-        let rows = hypercube_router_ablation(
-            9,
-            0.6,
-            10,
-            3,
-            TrialExec::sequential()
-                .with_threads(2)
-                .with_census_threads(2),
-        );
+        let rows =
+            hypercube_router_ablation(9, 0.6, 10, 3, TrialExec::sequential().with_threads(2));
         assert_eq!(rows.len(), 5);
         let flood = rows.iter().find(|r| r.router.contains("flood")).unwrap();
         let segment = rows.iter().find(|r| r.router.contains("segment")).unwrap();
@@ -302,13 +295,7 @@ mod tests {
 
     #[test]
     fn mesh_escalation_variants_all_complete() {
-        let rows = mesh_escalation_ablation(
-            0.7,
-            13,
-            8,
-            5,
-            TrialExec::sequential().with_census_threads(2),
-        );
+        let rows = mesh_escalation_ablation(0.7, 13, 8, 5, TrialExec::sequential());
         assert_eq!(rows.len(), 3);
         for (label, probes) in rows {
             assert!(probes.is_finite(), "{label} produced no successes");

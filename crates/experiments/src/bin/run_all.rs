@@ -1,6 +1,6 @@
 //! Runs every experiment in sequence and prints the combined report.
 //!
-//! `cargo run --release -p faultnet-experiments --bin run_all -- [--quick] [--markdown] [--threads N] [--census-threads N]`
+//! `cargo run --release -p faultnet-experiments --bin run_all -- [--quick] [--markdown] [--threads N]`
 //!
 //! * `--quick` uses the reduced configurations (seconds per experiment);
 //!   the default is the full configurations recorded in docs/EXPERIMENTS.md.
@@ -10,12 +10,10 @@
 //!   worker threads (0 or absent = one worker per core). The parallel
 //!   harness merges results in deterministic order, so the emitted tables
 //!   are identical for every thread count.
-//! * `--census-threads N` runs each intra-instance component census on `N`
-//!   workers (absent = sequential census; 0 = one worker per core). The
-//!   parallel census is bit-identical to the sequential one, so this knob
-//!   too leaves every emitted byte unchanged.
-//! * `--trial-batch` is retired and ignored: the trial loop packs census
-//!   trials onto the multispin engine and runs routing trials scalar.
+//!
+//! The trial loop packs census trials onto the multispin engine and runs
+//! routing trials scalar; there is no store or census-thread flag (the
+//! retired `--trial-batch` and `--census-threads` are unknown arguments).
 
 use faultnet_experiments::cli::ExpArgs;
 use faultnet_experiments::suite::run_all_reports;

@@ -16,8 +16,8 @@ use faultnet_percolation::chemical::{
 use faultnet_topology::torus::Torus;
 use faultnet_topology::Topology;
 
-use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
+use crate::TrialExec;
 
 /// Stretch statistics at one `(p, distance)` point.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -34,8 +34,8 @@ use faultnet_topology::hypercube::Hypercube;
 use faultnet_topology::mesh::Mesh;
 use faultnet_topology::Topology;
 
-use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
+use crate::TrialExec;
 
 /// One trial's time series: per timestep `0..=timesteps`, the number of
 /// events applied that step (0 at `t = 0`), the giant fraction, and whether
@@ -357,15 +357,6 @@ mod tests {
                 .render();
             assert_eq!(baseline, threaded, "threads = {threads}");
         }
-        let census_threaded = ChurnExperiment::quick()
-            .with_exec(
-                TrialExec::sequential()
-                    .with_census_threads(2)
-                    .with_threads(2),
-            )
-            .run()
-            .render();
-        assert_eq!(baseline, census_threaded);
     }
 
     #[test]

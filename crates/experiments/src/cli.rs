@@ -1,6 +1,7 @@
 //! Shared command-line handling for the experiment binaries.
 //!
-//! Every `exp_*` binary (and `run_all`) accepts the same flags:
+//! Every `exp_*` binary's `main` is [`run_binary`], and every `exp_*`
+//! binary (and `run_all`) accepts the same flags:
 //!
 //! * `--quick` — run the reduced configuration (seconds) instead of the
 //!   `full()` grids recorded in `docs/EXPERIMENTS.md`.
@@ -9,30 +10,12 @@
 //!   worker per available core". Because the parallel harness merges trial
 //!   results in deterministic order, the emitted tables are identical for
 //!   every thread count — the knob only changes wall-clock time.
-//! * `--census-threads N` (or `--census-threads=N`) — run each
-//!   *intra-instance* component census (giant scans, threshold bisections)
-//!   on `N` workers through `ComponentCensus::compute_parallel`. `N = 0`
-//!   means "one worker per available core"; the default of 1 keeps the
-//!   sequential census, which wins below roughly the n = 10 hypercube,
-//!   where per-census thread spawning costs more than it saves
-//!   (`conditioning/bfs_vs_census` in the `census` bench target, p = 0.5,
-//!   2-core VM: H₈ 22 µs sequential vs 85 µs on two workers, a tie at H₁₀,
-//!   H₁₄ 4.2 ms vs 3.0 ms). Routing conditions with an early-exiting BFS
-//!   and ignores it. The parallel census is bit-identical to the
-//!   sequential one (canonical min-vertex component labels), so this
-//!   knob, like `--threads`, never changes a single emitted byte. `exp_churn` ignores it: its incremental census runs no
-//!   from-scratch census.
-//! * `--trial-batch N` (or `--trial-batch=N`, or a bare `--trial-batch`)
-//!   — retired and ignored, value included, with a note on stderr. The
-//!   trial loop picks the instance store itself: census trials share
-//!   multispin lanes, routing trials run scalar
-//!   (`faultnet_faultmodel::trials::run_trials`).
 //! * `--markdown` — render the report as Markdown instead of plain text.
 //! * `--fault-model NAME` (or `--fault-model=NAME`) — select one named
 //!   fault model (`bernoulli-edges`, `bernoulli-nodes`,
 //!   `correlated-regions`, `adversarial-budget`). Consumed by
 //!   `exp_fault_models` and `exp_real_world` (absent = all models side by
-//!   side); the E1–E10
+//!   side) and by `exp_churn` (absent = Bernoulli edges); the E1–E10
 //!   reproduction binaries always measure the paper's Bernoulli edge
 //!   faults and warn on stderr if the flag is passed
 //!   ([`ExpArgs::warn_fault_model_ignored`]).
@@ -46,12 +29,16 @@
 //!   counter/histogram/span summary table to stderr after the report.
 //!   Composable with `--trace`; like it, guaranteed not to change a single
 //!   stdout byte.
+//!
+//! Anything else — the retired `--census-threads`, `--trial-batch` and
+//! `--rescan` included — is an unknown argument: it warns on stderr and
+//! changes nothing, and a value after it is one more unknown argument.
 
 use faultnet_faultmodel::FaultModelSpec;
 
-use crate::exec::TrialExec;
 use crate::report::Effort;
 use crate::suite::registered;
+use crate::TrialExec;
 
 /// Parsed experiment-binary arguments.
 ///
@@ -64,11 +51,7 @@ use crate::suite::registered;
 /// let args = ExpArgs::parse(["--quick", "--threads", "4"].map(String::from));
 /// assert_eq!(args.effort, Effort::Quick);
 /// assert_eq!(args.threads, 4);
-/// assert_eq!(args.census_threads, 1);
 /// assert!(!args.markdown);
-///
-/// let args = ExpArgs::parse(["--census-threads", "4"].map(String::from));
-/// assert_eq!(args.census_threads, 4);
 ///
 /// let args = ExpArgs::parse(["--threads=2", "--markdown"].map(String::from));
 /// assert_eq!(args.effort, Effort::Full);
@@ -88,9 +71,6 @@ pub struct ExpArgs {
     /// Worker-thread count, already resolved: `--threads 0` and an absent
     /// flag both resolve to the number of available cores (at least 1).
     pub threads: usize,
-    /// Intra-instance census thread count, already resolved: absent = 1
-    /// (sequential census), `--census-threads 0` = one worker per core.
-    pub census_threads: usize,
     /// Whether `--markdown` was passed.
     pub markdown: bool,
     /// The fault model selected with `--fault-model`, if any. `None` means
@@ -111,21 +91,18 @@ impl ExpArgs {
     /// Parses the given argument list (flags may appear in any order;
     /// unknown flags produce a warning on stderr and are skipped).
     ///
-    /// The numeric value flags (`--threads`, `--census-threads`) obey one
-    /// shared lookahead rule in their space-form, the same rule
-    /// `--fault-model` uses: the next token is consumed as the
-    /// value unless it is itself a flag. A malformed value therefore warns
-    /// **exactly once** (it is not re-reported as an unknown argument), and
-    /// a dangling flag — final token, or immediately followed by another
-    /// flag — warns once on stderr and swallows nothing, exactly like the
-    /// `=`-form's `value.parse().unwrap_or_else(warn)`.
+    /// The value flags (`--threads`, `--fault-model`, `--trace`) share one
+    /// lookahead rule in their space-form: the next token is consumed as
+    /// the value unless it is itself a flag. A malformed value therefore
+    /// warns **exactly once** (it is not re-reported as an unknown
+    /// argument), and a dangling flag — final token, or immediately
+    /// followed by another flag — warns once on stderr and swallows
+    /// nothing, like the `=`-form with a malformed value.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
         let args: Vec<String> = args.into_iter().collect();
         let mut effort = Effort::Full;
         let mut markdown = false;
         let mut threads: usize = 0;
-        // 1 = sequential census (the default); 0 = auto, resolved below.
-        let mut census_threads: usize = 1;
         let mut fault_model = None;
         let mut trace: Option<String> = None;
         let mut obs_summary = false;
@@ -138,29 +115,16 @@ impl ExpArgs {
             match args[i].as_str() {
                 "--quick" => effort = Effort::Quick,
                 "--markdown" => markdown = true,
-                "--threads" => {
-                    let (value, consumed) = take_numeric_value(&args, i, "--threads", "using auto");
-                    if let Some(n) = value {
-                        threads = n;
-                    }
-                    i += consumed;
-                }
-                "--census-threads" => {
-                    let (value, consumed) =
-                        take_numeric_value(&args, i, "--census-threads", "using the default of 1");
-                    if let Some(n) = value {
-                        census_threads = n;
-                    }
-                    i += consumed;
-                }
-                "--trial-batch" => {
-                    // Retired: its value is consumed so that the rest of the
-                    // line parses exactly as it would without the flag.
-                    if args.get(i + 1).is_some_and(|next| !next.starts_with("--")) {
+                "--threads" => match args.get(i + 1).map(String::as_str) {
+                    Some(value) if !value.starts_with("--") => {
+                        match value.parse() {
+                            Ok(n) => threads = n,
+                            Err(_) => eprintln!("--threads expects a number; using auto"),
+                        }
                         i += 1;
                     }
-                    note_trial_batch_retired();
-                }
+                    _ => eprintln!("--threads expects a number; using auto"),
+                },
                 "--obs-summary" => obs_summary = true,
                 "--trace" => {
                     // Same lookahead rule as --fault-model: consume the next
@@ -195,13 +159,6 @@ impl ExpArgs {
                             eprintln!("--threads expects a number; using auto");
                             0
                         });
-                    } else if let Some(value) = other.strip_prefix("--census-threads=") {
-                        census_threads = value.parse().unwrap_or_else(|_| {
-                            eprintln!("--census-threads expects a number; using the default of 1");
-                            1
-                        });
-                    } else if other.starts_with("--trial-batch=") {
-                        note_trial_batch_retired();
                     } else if let Some(value) = other.strip_prefix("--fault-model=") {
                         parse_model(value);
                     } else if let Some(value) = other.strip_prefix("--trace=") {
@@ -220,7 +177,6 @@ impl ExpArgs {
         ExpArgs {
             effort,
             threads: resolve_threads(threads),
-            census_threads: resolve_census_threads(census_threads),
             markdown,
             fault_model,
             trace,
@@ -234,12 +190,10 @@ impl ExpArgs {
         Self::parse(std::env::args().skip(1))
     }
 
-    /// The execution knobs the flags select: `--threads` and
-    /// `--census-threads` as one [`TrialExec`].
+    /// The execution knobs the flags select: `--threads` as a
+    /// [`TrialExec`].
     pub fn exec(&self) -> TrialExec {
-        TrialExec::sequential()
-            .with_threads(self.threads)
-            .with_census_threads(self.census_threads)
+        TrialExec::sequential().with_threads(self.threads)
     }
 
     /// Renders `report` to stdout in the requested format.
@@ -263,17 +217,6 @@ impl ExpArgs {
                  use exp_fault_models to measure under other fault models"
             );
         }
-    }
-
-    /// The execution knobs `binary`'s experiment runs under:
-    /// [`ExpArgs::exec`], once `binary` is checked against the registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `binary` is not a registered experiment.
-    pub fn exec_for(&self, binary: &str) -> TrialExec {
-        let _ = registered(binary);
-        self.exec()
     }
 
     /// Turns the observability layer on if `--trace` or `--obs-summary`
@@ -308,6 +251,25 @@ impl ExpArgs {
     }
 }
 
+/// The whole `main` of every `exp_*` binary: parses the process
+/// arguments, runs `binary`'s entry in [`crate::suite::registry`] and
+/// prints its report. `--fault-model` reaches the experiments that read it
+/// (E11, E12 and E13); the others warn on stderr and ignore it.
+///
+/// # Panics
+///
+/// Panics if `binary` is not a registered experiment.
+pub fn run_binary(binary: &str) {
+    let args = ExpArgs::parse_env();
+    let experiment = registered(binary);
+    args.init_obs();
+    if !experiment.reads_fault_model() {
+        args.warn_fault_model_ignored(binary);
+    }
+    args.print(&experiment.run(args.effort, args.exec(), args.fault_model));
+    args.finish_obs();
+}
+
 /// Resolves a requested thread count: `0` means "all available cores"
 /// (falling back to 1 when the platform cannot report parallelism).
 pub fn resolve_threads(requested: usize) -> usize {
@@ -317,57 +279,6 @@ pub fn resolve_threads(requested: usize) -> usize {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
-    }
-}
-
-/// Resolves the `--census-threads` value: explicit counts are kept, `0`
-/// means "all available cores" (identical to [`resolve_threads`]; the
-/// default of 1 is applied by the parser, not here, so callers resolving a
-/// stored 0 still get auto).
-pub fn resolve_census_threads(requested: usize) -> usize {
-    resolve_threads(requested)
-}
-
-/// Announces on stderr that `--trial-batch` was accepted and ignored.
-fn note_trial_batch_retired() {
-    eprintln!("--trial-batch is retired and ignored; the trial loop picks the instance store");
-}
-
-/// The shared lookahead rule for the space-form numeric flags
-/// (`--threads N`, `--census-threads N`).
-///
-/// The token after the flag is consumed as the value unless it is itself a
-/// flag (starts with `--`). Three cases:
-///
-/// * next token parses as a number — `(Some(n), 1)`: value kept, token
-///   consumed;
-/// * next token is a non-flag that does not parse (`--threads lots`) —
-///   `(None, 1)`: warns once on stderr, token consumed so the main loop
-///   does not re-report it as an unknown argument;
-/// * flag is the final token or followed by another flag — `(None, 0)`:
-///   warns once on stderr, nothing swallowed.
-///
-/// `fallback` names the behaviour kept on failure in the warning, so the
-/// space-form message is byte-identical to the `=`-form's
-/// `value.parse().unwrap_or_else(warn)` message.
-fn take_numeric_value(
-    args: &[String],
-    i: usize,
-    flag: &str,
-    fallback: &str,
-) -> (Option<usize>, usize) {
-    match args.get(i + 1).map(String::as_str) {
-        Some(value) if !value.starts_with("--") => match value.parse() {
-            Ok(n) => (Some(n), 1),
-            Err(_) => {
-                eprintln!("{flag} expects a number; {fallback}");
-                (None, 1)
-            }
-        },
-        _ => {
-            eprintln!("{flag} expects a number; {fallback}");
-            (None, 0)
-        }
     }
 }
 
@@ -420,62 +331,28 @@ mod tests {
     }
 
     #[test]
-    fn census_threads_flag_forms() {
-        // Absent: sequential census.
-        assert_eq!(ExpArgs::parse(Vec::new()).census_threads, 1);
-        // Explicit counts in both spellings.
-        assert_eq!(
-            ExpArgs::parse(vec!["--census-threads".into(), "4".into()]).census_threads,
-            4
-        );
-        assert_eq!(
-            ExpArgs::parse(vec!["--census-threads=2".into()]).census_threads,
-            2
-        );
-        // 0 = one worker per core.
-        assert!(ExpArgs::parse(vec!["--census-threads".into(), "0".into()]).census_threads >= 1);
-        // A valueless flag keeps the default and must not swallow the next
-        // flag.
-        let args = ExpArgs::parse(vec!["--census-threads".into(), "--markdown".into()]);
-        assert_eq!(args.census_threads, 1);
-        assert!(args.markdown);
-        // Malformed value falls back to the default.
-        assert_eq!(
-            ExpArgs::parse(vec!["--census-threads=lots".into()]).census_threads,
-            1
-        );
-        // Orthogonal to --threads.
-        let args = ExpArgs::parse(vec![
-            "--threads".into(),
-            "8".into(),
-            "--census-threads".into(),
-            "2".into(),
-        ]);
-        assert_eq!(args.threads, 8);
-        assert_eq!(args.census_threads, 2);
-    }
-
-    #[test]
     fn trial_batch_flag_forms() {
-        // `--trial-batch` is retired: each form it used to take parses like
-        // the same command line without it, its value consumed.
+        // `--trial-batch` and `--census-threads` are retired: each form they
+        // used to take parses like the same command line without them, a
+        // value included.
         let parse = |args: &[&str]| ExpArgs::parse(args.iter().map(|a| a.to_string()));
         let plain = parse(&["--quick", "--markdown"]);
-        assert_eq!(
-            parse(&["--quick", "--trial-batch", "64", "--markdown"]),
-            plain
-        );
-        assert_eq!(parse(&["--quick", "--trial-batch=7", "--markdown"]), plain);
-        assert_eq!(parse(&["--quick", "--trial-batch", "--markdown"]), plain);
-        // A non-numeric value is consumed too, and a dangling flag is inert.
-        assert_eq!(
-            parse(&["--quick", "--trial-batch", "wide", "--markdown"]),
-            plain
-        );
-        assert_eq!(parse(&["--quick", "--markdown", "--trial-batch"]), plain);
-        // The thread knobs around it keep their values.
-        let args = parse(&["--threads=2", "--trial-batch=64", "--census-threads=3"]);
-        assert_eq!((args.threads, args.census_threads), (2, 3));
+        for flag in ["--trial-batch", "--census-threads"] {
+            assert_eq!(parse(&["--quick", flag, "64", "--markdown"]), plain);
+            assert_eq!(
+                parse(&["--quick", &format!("{flag}=7"), "--markdown"]),
+                plain
+            );
+            assert_eq!(parse(&["--quick", flag, "--markdown"]), plain);
+            // A non-numeric value is dropped too, and a dangling flag is
+            // inert.
+            assert_eq!(parse(&["--quick", flag, "wide", "--markdown"]), plain);
+            assert_eq!(parse(&["--quick", "--markdown", flag]), plain);
+        }
+        // The thread count around them keeps its value.
+        let args = parse(&["--threads=2", "--trial-batch=64", "--census-threads", "3"]);
+        assert_eq!(args, parse(&["--threads=2"]));
+        assert_eq!(args.threads, 2);
     }
 
     #[test]
@@ -580,9 +457,6 @@ mod tests {
         let args = ExpArgs::parse(vec!["--quick".into(), "--threads".into()]);
         assert_eq!(args.effort, Effort::Quick);
         assert!(args.threads >= 1, "dangling --threads resolves to auto");
-
-        let args = ExpArgs::parse(vec!["--census-threads".into()]);
-        assert_eq!(args.census_threads, 1);
     }
 
     #[test]
@@ -594,13 +468,5 @@ mod tests {
         let args = ExpArgs::parse(vec!["--threads".into(), "lots".into(), "--markdown".into()]);
         assert!(args.threads >= 1);
         assert!(args.markdown);
-
-        let args = ExpArgs::parse(vec![
-            "--census-threads".into(),
-            "many".into(),
-            "--quick".into(),
-        ]);
-        assert_eq!(args.census_threads, 1);
-        assert_eq!(args.effort, Effort::Quick);
     }
 }

@@ -28,8 +28,8 @@ use faultnet_routing::lower_bound::double_tree_certified_probes;
 use faultnet_routing::tree::{LeafPenetrationRouter, PairedDfsOracleRouter};
 use faultnet_topology::double_tree::DoubleBinaryTree;
 
-use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
+use crate::TrialExec;
 
 /// Connection-probability measurement at one `(depth, p)`.
 #[derive(Debug, Clone, Copy, PartialEq)]

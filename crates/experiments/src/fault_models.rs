@@ -31,10 +31,10 @@ use faultnet_percolation::PercolationConfig;
 use faultnet_routing::complexity::ComplexityHarness;
 use faultnet_routing::mesh::MeshLandmarkRouter;
 
-use crate::exec::TrialExec;
 use crate::hypercube_giant::measure_hypercube_point_with_model;
 use crate::mesh_routing::mesh_and_pair;
 use crate::report::{Effort, ExperimentReport};
+use crate::TrialExec;
 
 /// One measured mesh point under one model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -319,7 +319,7 @@ mod tests {
             8,
             12,
             7,
-            exec.with_census_threads(2),
+            exec,
         );
         assert!(edge.connectivity_rate > 0.0);
         assert!(
@@ -347,7 +347,7 @@ mod tests {
             0.9,
             6,
             3,
-            exec.with_census_threads(2),
+            exec,
         );
         // At p = 0.9 the edge-fault cube is essentially always connected;
         // with 256 vertices each dying w.p. 0.1, the node-fault cube has

@@ -17,8 +17,8 @@ use faultnet_routing::gnp::{BidirectionalGrowthRouter, IncrementalLocalRouter};
 use faultnet_topology::complete::CompleteGraph;
 use faultnet_topology::Topology;
 
-use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
+use crate::TrialExec;
 
 /// Probe counts at one graph size.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -187,15 +187,7 @@ mod tests {
 
     #[test]
     fn oracle_is_cheaper_than_local() {
-        let point = measure_gnp_point(
-            150,
-            2.5,
-            10,
-            3,
-            TrialExec::sequential()
-                .with_threads(2)
-                .with_census_threads(2),
-        );
+        let point = measure_gnp_point(150, 2.5, 10, 3, TrialExec::sequential().with_threads(2));
         assert!(point.connectivity_rate > 0.3);
         assert!(point.local_mean_probes > point.oracle_mean_probes);
     }

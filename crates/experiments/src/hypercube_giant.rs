@@ -14,8 +14,8 @@ use faultnet_percolation::PercolationConfig;
 use faultnet_topology::hypercube::Hypercube;
 use faultnet_topology::Topology;
 
-use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
+use crate::TrialExec;
 
 /// Giant fraction and connectivity probability of `H_{n,p}` at one `p`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,11 +30,9 @@ pub struct HypercubePoint {
 
 /// Measures giant fraction and connectivity of `H_{n,p}` over `trials`
 /// Bernoulli-edge instances under `exec` (see
-/// [`measure_giant_point_with_model`]). The knobs compose: per-trial
-/// fan-out soaks up many small instances, intra-census fan-out soaks up few
-/// huge ones (the n ≥ 16 grids this experiment exists for), and batching
-/// amortises the edge sampling across lanes; the means are identical for
-/// every value of each.
+/// [`measure_giant_point_with_model`]). Per-trial fan-out spreads the
+/// censuses over workers and the trial loop packs them into lanes, which
+/// amortises the edge sampling; the means are identical for every `exec`.
 pub fn measure_hypercube_point(
     dimension: u32,
     p: f64,
@@ -106,10 +104,7 @@ where
     M: FaultModel + Sync + ?Sized,
     T: Topology + Sync,
 {
-    let visitor = Census {
-        graph,
-        census_threads: exec.census_threads,
-    };
+    let visitor = Census { graph };
     let config = PercolationConfig::new(p, base_seed);
     let pair = graph.canonical_pair();
     let mut giant_total = 0.0;
@@ -131,7 +126,6 @@ where
 /// read in place through its [`faultnet_percolation::LaneView`].
 struct Census<'g, T> {
     graph: &'g T,
-    census_threads: usize,
 }
 
 impl<T: Topology + Sync> Census<'_, T> {
@@ -151,22 +145,12 @@ impl<T: Topology + Sync> TrialVisitor<T> for Census<'_, T> {
 
     fn instance(&self, instance: &FaultInstance) -> (f64, bool) {
         let sample = BitsetSample::from_states(self.graph, instance);
-        self.fold(ComponentCensus::compute_parallel(
-            self.graph,
-            &sample,
-            self.census_threads,
-        ))
+        self.fold(ComponentCensus::compute(self.graph, &sample))
     }
 
     fn batch(&self, batch: &TrialBatch<'_, T>) -> Vec<(f64, bool)> {
         (0..batch.lanes())
-            .map(|l| {
-                self.fold(ComponentCensus::compute_parallel(
-                    self.graph,
-                    &batch.lane_view(l),
-                    self.census_threads,
-                ))
-            })
+            .map(|l| self.fold(ComponentCensus::compute(self.graph, &batch.lane_view(l))))
             .collect()
     }
 }
@@ -296,7 +280,7 @@ mod tests {
     fn giant_fraction_transitions_around_one_over_n() {
         let exec = TrialExec::sequential().with_threads(2);
         let sub = measure_hypercube_point(10, 0.25 / 10.0, 6, 1, exec);
-        let sup = measure_hypercube_point(10, 3.0 / 10.0, 6, 1, exec.with_census_threads(2));
+        let sup = measure_hypercube_point(10, 3.0 / 10.0, 6, 1, exec);
         assert!(
             sub.giant_fraction < 0.2,
             "subcritical {}",
@@ -312,13 +296,7 @@ mod tests {
     #[test]
     fn connectivity_transitions_around_one_half() {
         let below = measure_hypercube_point(10, 0.35, 6, 2, TrialExec::sequential());
-        let above = measure_hypercube_point(
-            10,
-            0.65,
-            6,
-            2,
-            TrialExec::sequential().with_census_threads(2),
-        );
+        let above = measure_hypercube_point(10, 0.65, 6, 2, TrialExec::sequential());
         assert!(below.connectivity < above.connectivity + 1e-9);
         assert!(above.connectivity > 0.5);
     }

@@ -28,8 +28,8 @@ use faultnet_routing::lower_bound::{
 use faultnet_topology::hypercube::Hypercube;
 use faultnet_topology::Topology;
 
-use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
+use crate::TrialExec;
 
 /// A Monte-Carlo comparison point: the empirical cut bound and the measured
 /// flooding cost at the same `(n, α)`.
@@ -249,16 +249,8 @@ mod tests {
 
     #[test]
     fn monte_carlo_bound_is_sound_against_measurement() {
-        let cmp = compare_bound_to_measurement(
-            8,
-            0.7,
-            2,
-            40,
-            3,
-            TrialExec::sequential()
-                .with_threads(2)
-                .with_census_threads(2),
-        );
+        let cmp =
+            compare_bound_to_measurement(8, 0.7, 2, 40, 3, TrialExec::sequential().with_threads(2));
         // The bound certifies a probe count every local router must reach
         // with probability ≥ 1/2; the flooding router's *minimum* observed
         // probe count must therefore not be (much) below it. We check

@@ -25,8 +25,8 @@ use faultnet_routing::hypercube::SegmentRouter;
 use faultnet_topology::hypercube::Hypercube;
 use faultnet_topology::Topology;
 
-use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
+use crate::TrialExec;
 
 /// One measured point of the `α` sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -238,9 +238,7 @@ mod tests {
             8,
             100_000,
             11,
-            TrialExec::sequential()
-                .with_threads(2)
-                .with_census_threads(2),
+            TrialExec::sequential().with_threads(2),
         );
         let hard = measure_alpha_point(
             11,
@@ -248,9 +246,7 @@ mod tests {
             8,
             100_000,
             11,
-            TrialExec::sequential()
-                .with_threads(2)
-                .with_census_threads(2),
+            TrialExec::sequential().with_threads(2),
         );
         assert!(easy.mean_cost.is_finite());
         if hard.mean_cost.is_finite() {

@@ -25,14 +25,14 @@
 //! Each module exposes an experiment struct with `quick()` (seconds; used by
 //! tests and Criterion benches) and `full()` (minutes; used by the `exp-*`
 //! binaries) constructors, a `with_exec` builder taking the binaries'
-//! execution knobs as one [`exec::TrialExec`] (`--threads` and
-//! `--census-threads`; the reported numbers are bit-identical for every
-//! value), and a `run()` method producing an
+//! execution knob as one [`TrialExec`] (`--threads`; the reported numbers
+//! are bit-identical for every value), and a `run()` method producing an
 //! [`report::ExperimentReport`]. Every Monte-Carlo measurement runs on the
 //! workspace's one trial loop, [`faultnet_faultmodel::trials::run_trials`]:
 //! routing through [`faultnet_routing::ComplexityHarness::measure`], giant
 //! fractions through [`hypercube_giant::measure_giant_point_with_model`].
-//! Shared flag parsing lives in [`cli`].
+//! Every `exp_*` binary's `main` is [`cli::run_binary`], which looks its
+//! experiment up in [`suite::registry`].
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -41,7 +41,6 @@ pub mod chemical_distance;
 pub mod churn;
 pub mod cli;
 pub mod double_tree;
-pub mod exec;
 pub mod fault_models;
 pub mod gnp;
 pub mod hypercube_giant;
@@ -55,5 +54,5 @@ pub mod report;
 pub mod suite;
 pub mod threshold;
 
-pub use exec::TrialExec;
+pub use faultnet_faultmodel::trials::TrialExec;
 pub use report::{Effort, ExperimentReport};

@@ -19,8 +19,8 @@ use faultnet_routing::complexity::ComplexityHarness;
 use faultnet_routing::mesh::MeshLandmarkRouter;
 use faultnet_topology::mesh::Mesh;
 
-use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
+use crate::TrialExec;
 
 /// One measured point: probes at a given distance on a given mesh.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -252,15 +252,7 @@ mod tests {
 
     #[test]
     fn landmark_router_beats_flooding() {
-        let point = measure_mesh_point(
-            2,
-            0.7,
-            16,
-            8,
-            true,
-            5,
-            TrialExec::sequential().with_census_threads(2),
-        );
+        let point = measure_mesh_point(2, 0.7, 16, 8, true, 5, TrialExec::sequential());
         assert!(point.flood_mean_probes.is_finite());
         assert!(point.landmark_mean_probes < point.flood_mean_probes);
     }

@@ -9,9 +9,9 @@ use faultnet_analysis::sweep::Sweep;
 use faultnet_analysis::table::{fmt_float, Table};
 use faultnet_topology::torus::Torus;
 
-use crate::exec::TrialExec;
 use crate::report::{Effort, ExperimentReport};
 use crate::threshold::{estimate_threshold, giant_fraction_sweep};
+use crate::TrialExec;
 
 /// The E8b experiment.
 #[derive(Debug, Clone)]
@@ -91,8 +91,8 @@ impl MeshThresholdExperiment {
             }
         }
         // Each bisection is inherently sequential in p and runs on its own
-        // worker, so its trials stay on that worker; census threads and
-        // trial batching still apply inside every evaluation.
+        // worker, so its trials stay on that worker; trial batching still
+        // applies inside every evaluation.
         let inner = self.exec.with_threads(1);
         let estimated = Sweep::over(bisection_points).run_parallel(
             self.exec.threads,

@@ -27,9 +27,9 @@ use faultnet_topology::de_bruijn::DeBruijn;
 use faultnet_topology::shuffle_exchange::ShuffleExchange;
 use faultnet_topology::Topology;
 
-use crate::exec::TrialExec;
 use crate::hypercube_giant::measure_giant_point_with_model;
 use crate::report::{Effort, ExperimentReport};
+use crate::TrialExec;
 
 /// Per-family sweep output: the rendered table plus the `(p, giant fraction)`
 /// and `(p, normalised flood cost)` curves used for threshold comparison.
@@ -52,8 +52,7 @@ pub struct FamilyPoint {
 /// Measures one family at one probability under `exec`: the giant
 /// fraction through [`measure_giant_point_with_model`] and the conditioned
 /// flooding cost through the complexity harness (the result is identical
-/// for every `exec`). `exec.census_threads` applies to the giant census
-/// only.
+/// for every `exec`).
 ///
 /// Every candidate family has a closed-form `Topology::edge_index`, so the
 /// per-instance [`faultnet_percolation::BitsetSample`] always materialises
@@ -71,10 +70,7 @@ pub fn measure_family_point<T: Topology + Clone + Sync>(
     let harness =
         ComplexityHarness::new(graph.clone(), PercolationConfig::new(p, base_seed ^ 0xABCD));
     let (u, v) = graph.canonical_pair();
-    // Conditioning stays on the early-exiting BFS: the sweep starts below
-    // the giant threshold, where a census per trial is far slower.
-    let routing_exec = exec.with_census_threads(1);
-    let stats = harness.measure(&model, &FloodRouter::new(), u, v, trials, routing_exec);
+    let stats = harness.measure(&model, &FloodRouter::new(), u, v, trials, exec);
     let mean_probes = Summary::from_counts(stats.probe_counts().iter().copied()).mean();
     FamilyPoint {
         p,
@@ -242,15 +238,7 @@ mod tests {
     #[test]
     fn family_point_fields_are_sane() {
         let g = DeBruijn::new(7);
-        let point = measure_family_point(
-            &g,
-            0.7,
-            5,
-            1,
-            TrialExec::sequential()
-                .with_threads(2)
-                .with_census_threads(2),
-        );
+        let point = measure_family_point(&g, 0.7, 5, 1, TrialExec::sequential().with_threads(2));
         assert!((0.0..=1.0).contains(&point.giant_fraction));
         assert!((0.0..=1.0).contains(&point.pair_connectivity));
         assert!(point.normalized_flood_cost.is_nan() || point.normalized_flood_cost <= 1.0);
@@ -260,13 +248,7 @@ mod tests {
     fn giant_fraction_grows_with_p() {
         let g = ShuffleExchange::new(8);
         let low = measure_family_point(&g, 0.3, 5, 2, TrialExec::sequential());
-        let high = measure_family_point(
-            &g,
-            0.9,
-            5,
-            2,
-            TrialExec::sequential().with_census_threads(2),
-        );
+        let high = measure_family_point(&g, 0.9, 5, 2, TrialExec::sequential());
         assert!(high.giant_fraction > low.giant_fraction);
     }
 

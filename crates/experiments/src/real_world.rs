@@ -47,9 +47,9 @@ use faultnet_topology::explicit::ExplicitGraph;
 use faultnet_topology::load::SubstrateSpec;
 use faultnet_topology::Topology;
 
-use crate::exec::TrialExec;
 use crate::hypercube_giant::measure_giant_point_with_model;
 use crate::report::{Effort, ExperimentReport};
+use crate::TrialExec;
 
 /// Molloy–Reed edge-percolation threshold estimate for an arbitrary degree
 /// sequence: `⟨k⟩ / (⟨k²⟩ − ⟨k⟩)`. Exact asymptotically for random graphs

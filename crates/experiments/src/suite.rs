@@ -1,17 +1,18 @@
-//! The experiment registry — the single source of truth for what `run_all`
-//! executes.
+//! The experiment registry — the single source of truth for what every
+//! experiment binary executes.
 //!
-//! Kept as a library function so the `run_all` binary and the end-to-end
-//! regression tests run the exact same sequence: the tests assert that the
-//! rendered output is byte-identical across `--threads` values, which is the
-//! determinism contract the parallel harness promises.
+//! Kept as a library function so the `exp_*` binaries, `run_all` and the
+//! end-to-end regression tests run the exact same code: the tests assert
+//! that the rendered output is byte-identical across `--threads` values,
+//! which is the determinism contract the parallel harness promises.
 //!
-//! Every experiment registers itself exactly once, in [`registry`]; `run_all`
-//! (and anything else that wants "every experiment") enumerates the registry
-//! instead of maintaining a second hand-written list, so a newly registered
-//! experiment is automatically picked up by `run_all_reports`, the
-//! byte-identity regression test, and the docs listing. The registry's
-//! uniqueness invariants are themselves tested.
+//! Every experiment registers itself exactly once, in [`registry`]. Each
+//! `exp_*` binary looks its entry up by name ([`crate::cli::run_binary`]),
+//! and `run_all` (and anything else that wants "every experiment")
+//! enumerates the registry instead of maintaining a second hand-written
+//! list, so a newly registered experiment is automatically picked up by
+//! `run_all_reports`, the byte-identity regression test, and the docs
+//! listing. The registry's uniqueness invariants are themselves tested.
 
 use crate::{
     ablation::AblationExperiment, chemical_distance::ChemicalDistanceExperiment,
@@ -22,6 +23,7 @@ use crate::{
     mesh_threshold::MeshThresholdExperiment, open_questions::OpenQuestionsExperiment,
     real_world::RealWorldExperiment, Effort, ExperimentReport, TrialExec,
 };
+use faultnet_faultmodel::FaultModelSpec;
 
 /// One registered experiment: its identity plus a uniform way to run it at
 /// any effort/thread configuration.
@@ -32,32 +34,66 @@ pub struct RegisteredExperiment {
     pub binary: &'static str,
     /// One-line description (paper result or scenario).
     pub title: &'static str,
-    run: fn(Effort, TrialExec) -> ExperimentReport,
+    run: Run,
+}
+
+/// How an entry runs: with the fault model its experiment defines, or
+/// with the one `--fault-model` selects.
+enum Run {
+    Fixed(fn(Effort, TrialExec) -> ExperimentReport),
+    WithFaultModel(fn(Effort, TrialExec, Option<FaultModelSpec>) -> ExperimentReport),
 }
 
 impl RegisteredExperiment {
-    /// Runs the experiment at the given effort under `exec`. Every knob is
-    /// a pure wall-clock lever: the report is a function of `effort` alone.
-    pub fn run(&self, effort: Effort, exec: TrialExec) -> ExperimentReport {
+    /// Whether the experiment reads `--fault-model` (E11, E12 and E13).
+    pub fn reads_fault_model(&self) -> bool {
+        matches!(self.run, Run::WithFaultModel(_))
+    }
+
+    /// Runs the experiment at the given effort under `exec`, on
+    /// `fault_model` if it [reads one](Self::reads_fault_model) (`None` =
+    /// its default); the others ignore `fault_model`. Every knob is a pure
+    /// wall-clock lever: the report is a function of `effort` and the
+    /// fault model alone.
+    pub fn run(
+        &self,
+        effort: Effort,
+        exec: TrialExec,
+        fault_model: Option<FaultModelSpec>,
+    ) -> ExperimentReport {
         // `binary` is 'static, so it doubles as the span name: one span per
         // experiment, visible in `--trace` output as `exp_mesh_routing` etc.
         let _span = faultnet_obs::span(self.binary);
-        (self.run)(effort, exec)
+        match self.run {
+            Run::Fixed(run) => run(effort, exec),
+            Run::WithFaultModel(run) => run(effort, exec, fault_model),
+        }
     }
 }
 
 /// Every experiment, in canonical E1→E13 order. The one list to extend when
-/// adding an experiment; `run_all` and the end-to-end tests derive from it.
+/// adding an experiment (and its one-line `src/bin` file); the `exp_*`
+/// binaries, `run_all` and the end-to-end tests derive from it.
 pub fn registry() -> Vec<RegisteredExperiment> {
     // A macro keeps each entry to one line and guarantees every experiment
-    // is wired through the same with_effort/with_exec/run protocol.
+    // is wired through the same with_effort/with_exec/run protocol; an
+    // entry ending in `, fault_model` also passes `--fault-model` through
+    // its `with_fault_model`.
     macro_rules! experiments {
-        ($($id:literal, $binary:literal, $title:literal => $ty:ty;)+) => {
+        (@run $ty:ty) => {
+            Run::Fixed(|effort, exec| <$ty>::with_effort(effort).with_exec(exec).run())
+        };
+        (@run $ty:ty, fault_model) => {
+            Run::WithFaultModel(|effort, exec, fault_model| {
+                <$ty>::with_effort(effort).with_exec(exec).with_fault_model(fault_model).run()
+            })
+        };
+        ($($id:literal, $binary:literal, $title:literal => $ty:ty $(, $reads:ident)?;)+) => {
             vec![$(RegisteredExperiment {
                 id: $id,
                 binary: $binary,
                 title: $title,
-                run: |effort, exec| <$ty>::with_effort(effort).with_exec(exec).run(),
+                run: experiments!(@run $ty $(, $reads)?),
             }),+]
         };
     }
@@ -72,9 +108,9 @@ pub fn registry() -> Vec<RegisteredExperiment> {
         "E8b", "exp_mesh_threshold", "§1.2 — mesh percolation threshold" => MeshThresholdExperiment;
         "E9", "exp_open_questions", "§6 open questions — constant-degree families" => OpenQuestionsExperiment;
         "E10", "exp_ablation", "design-choice ablations" => AblationExperiment;
-        "E11", "exp_fault_models", "fault-model scenario matrix (node/correlated/adversarial)" => FaultModelsExperiment;
-        "E12", "exp_churn", "dynamic fault churn — incremental census over fail/repair dynamics" => ChurnExperiment;
-        "E13", "exp_real_world", "fault-model matrix on real-world/scale-free substrates" => RealWorldExperiment;
+        "E11", "exp_fault_models", "fault-model scenario matrix (node/correlated/adversarial)" => FaultModelsExperiment, fault_model;
+        "E12", "exp_churn", "dynamic fault churn — incremental census over fail/repair dynamics" => ChurnExperiment, fault_model;
+        "E13", "exp_real_world", "fault-model matrix on real-world/scale-free substrates" => RealWorldExperiment, fault_model;
     }
 }
 
@@ -91,14 +127,15 @@ pub fn registered(binary: &str) -> RegisteredExperiment {
 }
 
 /// Runs every registered experiment at the given effort under `exec`, in
-/// registry order, and returns the reports.
+/// registry order and each on its default fault model, and returns the
+/// reports.
 ///
 /// The reported numbers are a pure function of `effort` (each experiment
 /// bakes in its base seed); `exec` only changes wall-clock time.
 pub fn run_all_reports(effort: Effort, exec: TrialExec) -> Vec<ExperimentReport> {
     registry()
         .iter()
-        .map(|experiment| experiment.run(effort, exec))
+        .map(|experiment| experiment.run(effort, exec, None))
         .collect()
 }
 
@@ -137,11 +174,7 @@ mod tests {
     }
 
     #[test]
-    fn every_binary_is_registered_and_exec_drops_only_unsupported_batching() {
-        // Nothing is unsupported, so nothing is dropped: every binary runs
-        // under exactly the flags' `TrialExec`, and the trial loop picks the
-        // store.
-        let args = crate::cli::ExpArgs::parse(["--threads", "3"].map(String::from));
+    fn every_binary_is_registered_and_only_e11_e12_e13_read_the_fault_model() {
         let bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
         let mut found = 0;
         for entry in std::fs::read_dir(bins).expect("src/bin is readable") {
@@ -152,7 +185,7 @@ mod tests {
             if binary == "run_all" {
                 continue;
             }
-            assert_eq!(args.exec_for(binary), args.exec(), "{binary}");
+            assert_eq!(registered(binary).binary, binary);
             found += 1;
         }
         assert_eq!(
@@ -160,6 +193,12 @@ mod tests {
             registry().len(),
             "a registered experiment has no binary"
         );
+        let readers: Vec<_> = registry()
+            .into_iter()
+            .filter(RegisteredExperiment::reads_fault_model)
+            .map(|e| e.id)
+            .collect();
+        assert_eq!(readers, ["E11", "E12", "E13"]);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 use faultnet_faultmodel::BernoulliEdges;
 use faultnet_topology::Topology;
 
-use crate::exec::TrialExec;
 use crate::hypercube_giant::{measure_giant_point_with_model, HypercubePoint};
+use crate::TrialExec;
 
 /// The giant point of `graph` under Bernoulli edge faults at `p`.
 fn giant_point<T: Topology + Sync>(
@@ -108,7 +108,6 @@ mod tests {
 
     const SEQ: TrialExec = TrialExec {
         threads: 1,
-        census_threads: 1,
         trial_batch: 0,
     };
 
@@ -197,27 +196,23 @@ mod tests {
     }
 
     #[test]
-    fn census_thread_count_never_changes_the_numbers() {
-        // The intra-census knob is a pure wall-clock lever: means, sweeps,
-        // and bisection estimates are bit-identical for every value.
+    fn thread_count_never_changes_the_numbers() {
+        // The trial fan-out is a pure wall-clock lever: means, sweeps, and
+        // bisection estimates are bit-identical for every value.
         let cube = Hypercube::new(8);
         let base = mean(&cube, 0.3, 4, 17, SEQ);
-        for census_threads in [1usize, 2, 4, 8] {
-            let exec = SEQ.with_census_threads(census_threads);
-            assert_eq!(
-                base,
-                mean(&cube, 0.3, 4, 17, exec),
-                "census_threads {census_threads}"
-            );
+        for threads in [1usize, 2, 4, 8] {
+            let exec = SEQ.with_threads(threads);
+            assert_eq!(base, mean(&cube, 0.3, 4, 17, exec), "threads {threads}");
         }
         let torus = Torus::new(2, 12);
         assert_eq!(
             estimate_threshold(&torus, 0.25, 2, 0.05, 3, SEQ),
-            estimate_threshold(&torus, 0.25, 2, 0.05, 3, SEQ.with_census_threads(4)),
+            estimate_threshold(&torus, 0.25, 2, 0.05, 3, SEQ.with_threads(4)),
         );
         assert_eq!(
             giant_fraction_sweep(&torus, &[0.2, 0.6], 2, 5, SEQ),
-            giant_fraction_sweep(&torus, &[0.2, 0.6], 2, 5, SEQ.with_census_threads(3)),
+            giant_fraction_sweep(&torus, &[0.2, 0.6], 2, 5, SEQ.with_threads(3)),
         );
     }
 

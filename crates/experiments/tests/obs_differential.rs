@@ -2,14 +2,14 @@
 //!
 //! The `faultnet_obs` instrumentation layer threads through every engine
 //! this workspace owns (BFS conditioning, the scalar and multispin
-//! percolation substrates, the parallel census, the routing harness, the
+//! percolation substrates, the census, the routing harness, the
 //! churn walk). Its contract is that observing a run never changes the
 //! run: with instrumentation off, counting on, or full span tracing on,
 //! every report renders to the **same bytes**.
 //!
 //! These tests run the entire registered experiment zoo at `Quick` effort
 //! under all three instrumentation states — and across the wall-clock
-//! knobs (`threads`, `census_threads`, a forced `trial_batch`), whose worker
+//! knobs (`threads`, a forced `trial_batch`), whose worker
 //! closures carry the per-thread flush calls — and `assert_eq!` the
 //! rendered text and Markdown. The CI workflow repeats the same check at
 //! the process level (`cmp` of `--trace` vs untraced stdout).
@@ -26,14 +26,9 @@ use faultnet_experiments::TrialExec;
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Runs the whole zoo and renders each report both ways.
-fn rendered_zoo(
-    threads: usize,
-    census_threads: usize,
-    trial_batch: usize,
-) -> Vec<(String, String)> {
+fn rendered_zoo(threads: usize, trial_batch: usize) -> Vec<(String, String)> {
     let exec = TrialExec::sequential()
         .with_threads(threads)
-        .with_census_threads(census_threads)
         .with_trial_batch(trial_batch);
     run_all_reports(Effort::Quick, exec)
         .iter()
@@ -46,14 +41,14 @@ fn instrumentation_states_never_change_a_report_byte() {
     let _guard = OBS_LOCK.lock().unwrap();
     faultnet_obs::reset();
 
-    let baseline = rendered_zoo(2, 1, 0);
+    let baseline = rendered_zoo(2, 0);
     assert!(!baseline.is_empty(), "the registry is not empty");
 
     faultnet_obs::enable();
-    let counted = rendered_zoo(2, 1, 0);
+    let counted = rendered_zoo(2, 0);
 
     faultnet_obs::enable_tracing();
-    let traced = rendered_zoo(2, 1, 0);
+    let traced = rendered_zoo(2, 0);
 
     // The enabled runs actually recorded something — the comparison is not
     // vacuously passing against dead instrumentation.
@@ -86,13 +81,13 @@ fn instrumentation_states_never_change_a_report_byte() {
 fn tracing_is_transparent_across_the_wall_clock_knobs() {
     let _guard = OBS_LOCK.lock().unwrap();
     faultnet_obs::reset();
-    // The knob-equivalence contract (threads / census-threads / forced lane
-    // widths never change a byte) must survive instrumentation: the worker
+    // The knob-equivalence contract (threads / forced lane widths never
+    // change a byte) must survive instrumentation: the worker
     // closures carry per-thread flush calls, and those must be as invisible
     // as the counters themselves.
-    let scalar_quiet = rendered_zoo(1, 1, 0);
+    let scalar_quiet = rendered_zoo(1, 0);
     faultnet_obs::enable_tracing();
-    let fanned_traced = rendered_zoo(4, 2, 64);
+    let fanned_traced = rendered_zoo(4, 64);
     faultnet_obs::reset();
     assert_eq!(
         scalar_quiet, fanned_traced,

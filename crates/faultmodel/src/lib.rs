@@ -56,7 +56,7 @@
 
 use std::collections::HashSet;
 
-use faultnet_percolation::sample::{EdgeSampler, EdgeStates, FrozenSample};
+use faultnet_percolation::sample::{EdgeSampler, EdgeStates};
 use faultnet_percolation::PercolationConfig;
 use faultnet_topology::{EdgeId, Topology, VertexId};
 
@@ -326,23 +326,13 @@ impl NodeMask {
     }
 }
 
-/// The edge substrate beneath a fault instance's overlays.
-#[derive(Debug, Clone)]
-enum Substrate {
-    /// Lazy Bernoulli sampler — O(1) memory, the probe-model fast path.
-    Lazy(EdgeSampler),
-    /// An owned, explicitly materialised set of open edges (escape hatch for
-    /// third-party models that compute states eagerly).
-    Frozen(FrozenSample),
-}
-
-/// One concrete fault instance: an edge substrate plus optional node-death
-/// and severed-edge overlays.
+/// One concrete fault instance: a lazy Bernoulli edge sampler plus
+/// optional node-death and severed-edge overlays.
 ///
 /// Implements [`EdgeStates`], so it plugs into everything the workspace
 /// already has: the probe engine, `connected`, `ComponentCensus`, and
 /// `BitsetSample::from_states` (the materialisation point for dense
-/// analytics). An edge is open iff the substrate says so **and** neither
+/// analytics). An edge is open iff the sampler says so **and** neither
 /// endpoint is dead **and** the adversary has not severed it.
 ///
 /// `FaultInstance` owns all of its state (no borrow of the graph), so the
@@ -366,32 +356,22 @@ enum Substrate {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FaultInstance {
-    substrate: Substrate,
+    sampler: EdgeSampler,
     dead: Option<NodeMask>,
     severed: Option<HashSet<EdgeId>>,
 }
 
 impl FaultInstance {
-    /// An instance whose substrate is the lazy Bernoulli `sampler`.
+    /// An instance over the lazy Bernoulli `sampler`, with no overlay.
     pub fn from_sampler(sampler: EdgeSampler) -> Self {
         FaultInstance {
-            substrate: Substrate::Lazy(sampler),
+            sampler,
             dead: None,
             severed: None,
         }
     }
 
-    /// An instance whose substrate is an explicitly materialised open-edge
-    /// set (edges absent from `frozen` are closed).
-    pub fn from_frozen(frozen: FrozenSample) -> Self {
-        FaultInstance {
-            substrate: Substrate::Frozen(frozen),
-            dead: None,
-            severed: None,
-        }
-    }
-
-    /// Layers a node-death mask over the substrate: every edge incident to a
+    /// Layers a node-death mask over the sampler: every edge incident to a
     /// dead vertex is closed.
     #[must_use]
     pub fn with_dead_nodes(mut self, mask: NodeMask) -> Self {
@@ -399,7 +379,7 @@ impl FaultInstance {
         self
     }
 
-    /// Layers a severed-edge set over the substrate: every listed edge is
+    /// Layers a severed-edge set over the sampler: every listed edge is
     /// closed (the adversary's cuts).
     #[must_use]
     pub fn with_severed_edges(mut self, severed: HashSet<EdgeId>) -> Self {
@@ -422,10 +402,7 @@ impl FaultInstance {
     /// loop can read it directly instead of checking the overlays on every
     /// edge.
     pub fn bare_sampler(&self) -> Option<&EdgeSampler> {
-        match (&self.substrate, &self.dead, &self.severed) {
-            (Substrate::Lazy(sampler), None, None) => Some(sampler),
-            _ => None,
-        }
+        (self.dead.is_none() && self.severed.is_none()).then_some(&self.sampler)
     }
 }
 
@@ -441,10 +418,7 @@ impl EdgeStates for FaultInstance {
                 return false;
             }
         }
-        match &self.substrate {
-            Substrate::Lazy(sampler) => sampler.is_open(edge),
-            Substrate::Frozen(frozen) => frozen.is_open(edge),
-        }
+        self.sampler.is_open(edge)
     }
 }
 
@@ -507,10 +481,7 @@ mod tests {
             }
         }
         let plain = || FaultInstance::from_sampler(config.sampler());
-        let frozen =
-            FaultInstance::from_frozen(FrozenSample::from_sampler(&cube, &config.sampler()));
         assert!(plain().bare_sampler().is_some());
-        assert!(frozen.bare_sampler().is_none());
         assert!(plain()
             .with_dead_nodes(NodeMask::all_alive(64))
             .bare_sampler()
@@ -541,15 +512,6 @@ mod tests {
         assert!(!instance.is_open(edge(0, 1)));
         assert!(instance.is_open(edge(0, 2)));
         assert_eq!(instance.severed_edges().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn frozen_substrate_answers_like_the_frozen_sample() {
-        let mut frozen = FrozenSample::new();
-        frozen.open_edge(edge(4, 5));
-        let instance = FaultInstance::from_frozen(frozen);
-        assert!(instance.is_open(edge(4, 5)));
-        assert!(!instance.is_open(edge(5, 6)));
     }
 
     #[test]

@@ -31,13 +31,12 @@ use crate::{FaultInstance, FaultModel};
 
 /// Wall-clock execution knobs for a trial-fan-out measurement.
 ///
-/// All three share one contract: **they never change a reported number**.
-/// Trials fold in trial order, the parallel census is bit-identical to the
-/// sequential one, and each lane of the batched store is bit-identical to
-/// its scalar trial (each proven by its own equivalence suite), so a
-/// `TrialExec` is purely a wall-clock configuration. The instance store is
-/// not a user knob: [`run_trials`] picks it from the visitor, and
-/// `trial_batch` only forces a lane width for tests and benchmarks.
+/// Neither knob changes a reported number. Trials fold in trial order,
+/// and each lane of the batched store is bit-identical to its scalar
+/// trial (proven by its own equivalence suite), so a `TrialExec` is purely
+/// a wall-clock configuration. The instance store is not a user knob:
+/// [`run_trials`] picks it from the visitor, and `trial_batch` only forces
+/// a lane width for tests and benchmarks.
 ///
 /// # Examples
 ///
@@ -46,7 +45,6 @@ use crate::{FaultInstance, FaultModel};
 ///
 /// let exec = TrialExec::sequential().with_threads(4).with_trial_batch(64);
 /// assert_eq!(exec.threads, 4);
-/// assert_eq!(exec.census_threads, 1);
 /// assert!(exec.batched());
 /// assert!(!TrialExec::default().batched());
 /// ```
@@ -54,8 +52,6 @@ use crate::{FaultInstance, FaultModel};
 pub struct TrialExec {
     /// Per-trial (or per-chunk, when batched) worker threads; at least 1.
     pub threads: usize,
-    /// Intra-census worker threads; 1 = sequential census.
-    pub census_threads: usize,
     /// Forced lane width: 0 (the default) lets [`run_trials`] pick the
     /// store; `N >= 1` forces the multispin store with `min(N, 64)` lanes
     /// per word wherever the model and graph allow it.
@@ -63,13 +59,12 @@ pub struct TrialExec {
 }
 
 impl TrialExec {
-    /// Fully sequential execution: one thread, sequential census, and the
-    /// store left to [`run_trials`]. The baseline every other configuration
+    /// Fully sequential execution: one thread, and the store left to
+    /// [`run_trials`]. The baseline every other configuration
     /// must bit-identically reproduce.
     pub fn sequential() -> Self {
         TrialExec {
             threads: 1,
-            census_threads: 1,
             trial_batch: 0,
         }
     }
@@ -78,13 +73,6 @@ impl TrialExec {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-census worker count (clamped to at least 1).
-    #[must_use]
-    pub fn with_census_threads(mut self, census_threads: usize) -> Self {
-        self.census_threads = census_threads.max(1);
         self
     }
 
@@ -250,6 +238,22 @@ mod tests {
                 })
                 .collect()
         }
+    }
+
+    #[test]
+    fn sequential_is_the_default() {
+        assert_eq!(TrialExec::default(), TrialExec::sequential());
+        assert_eq!(TrialExec::sequential().threads, 1);
+        assert!(!TrialExec::sequential().batched());
+    }
+
+    #[test]
+    fn builders_clamp_threads_but_not_the_batch() {
+        let exec = TrialExec::sequential().with_threads(0).with_trial_batch(0);
+        assert_eq!(exec.threads, 1);
+        // 0 is meaningful for the batch knob: the trial loop decides.
+        assert_eq!(exec.trial_batch, 0);
+        assert!(TrialExec::sequential().with_trial_batch(200).batched());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! conditioned routing measurements — evaluate thousands of independent
 //! instances that each touch every edge once; on the transposed store the
 //! conditioning check (`u ∼ v`?) and any whole-instance sweep advance all
-//! lanes with single ALU ops, multiplying with `--threads` /
-//! `--census-threads` instead of competing with them.
+//! lanes with single ALU ops, multiplying with `--threads` instead of
+//! competing with it.
 //!
 //! # Lane determinism
 //!

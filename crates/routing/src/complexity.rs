@@ -333,7 +333,6 @@ impl<T: Topology> ComplexityHarness<T> {
     /// * `{u ∼ v}` is checked with the early-exiting BFS [`connected`],
     ///   which beats a whole census at every measured point
     ///   (`conditioning/bfs_vs_census` in the `census` bench target);
-    /// * `exec.census_threads` does not apply: there is no census here;
     /// * a forced `exec.trial_batch > 0` packs up to 64 trials into one
     ///   [`TrialBatch`] where the model and graph allow, and decides
     ///   conditioning for the whole chunk with

@@ -26,62 +26,46 @@ use faultnet::experiments::{
 /// every fault model's parallel merge.
 #[test]
 fn run_all_quick_output_is_byte_identical_across_thread_counts() {
-    let render_suite =
-        |threads: usize, census_threads: usize, trial_batch: usize| -> (String, String) {
-            let exec = TrialExec::sequential()
-                .with_threads(threads)
-                .with_census_threads(census_threads)
-                .with_trial_batch(trial_batch);
-            let reports = run_all_reports(Effort::Quick, exec);
-            let text: String = reports
-                .iter()
-                .map(|r| r.render())
-                .collect::<Vec<_>>()
-                .join("\n");
-            let markdown: String = reports
-                .iter()
-                .map(|r| r.render_markdown())
-                .collect::<Vec<_>>()
-                .join("\n");
-            (text, markdown)
-        };
-    let baseline = render_suite(1, 1, 0);
+    let render_suite = |threads: usize, trial_batch: usize| -> (String, String) {
+        let exec = TrialExec::sequential()
+            .with_threads(threads)
+            .with_trial_batch(trial_batch);
+        let reports = run_all_reports(Effort::Quick, exec);
+        let text: String = reports
+            .iter()
+            .map(|r| r.render())
+            .collect::<Vec<_>>()
+            .join("\n");
+        let markdown: String = reports
+            .iter()
+            .map(|r| r.render_markdown())
+            .collect::<Vec<_>>()
+            .join("\n");
+        (text, markdown)
+    };
+    let baseline = render_suite(1, 0);
     assert_eq!(
         baseline,
-        render_suite(2, 1, 0),
+        render_suite(2, 0),
         "threads=2 diverged from threads=1"
     );
     assert_eq!(
         baseline,
-        render_suite(4, 1, 0),
+        render_suite(4, 0),
         "threads=4 diverged from threads=1"
-    );
-    // The intra-census knob is held to the same contract as the trial
-    // fan-out: `--census-threads 2` must not move a byte of any experiment's
-    // rendered output (this is the end-to-end half of the parallel-census
-    // equivalence suite in crates/percolation/tests/census_equivalence.rs).
-    assert_eq!(
-        baseline,
-        render_suite(1, 2, 0),
-        "census-threads=2 diverged from census-threads=1"
-    );
-    assert_eq!(
-        baseline,
-        render_suite(2, 4, 0),
-        "threads=2 + census-threads=4 diverged from the sequential baseline"
     );
     // And forced lane widths: packing every experiment's trials into
     // multispin lanes, routing included, must also not move a byte (the
     // end-to-end half of crates/percolation/tests/trial_equivalence.rs).
     assert_eq!(
         baseline,
-        render_suite(1, 1, 64),
+        render_suite(1, 64),
         "trial-batch=64 diverged from the automatic store"
     );
     assert_eq!(
         baseline,
-        render_suite(2, 2, 7),
-        "threads=2 + census-threads=2 + trial-batch=7 diverged from the sequential baseline"
+        render_suite(2, 7),
+        "threads=2 + trial-batch=7 diverged from the sequential baseline"
     );
 }
 
