@@ -330,29 +330,44 @@ mod tests {
         );
     }
 
-    #[test]
-    fn trial_batch_flag_forms() {
-        // `--trial-batch` and `--census-threads` are retired: each form they
-        // used to take parses like the same command line without them, a
-        // value included.
+    /// Asserts that every form the retired `flag` used to take parses like
+    /// the same command line without it, a value included.
+    fn assert_retired_value_flag_is_inert(flag: &str) {
         let parse = |args: &[&str]| ExpArgs::parse(args.iter().map(|a| a.to_string()));
         let plain = parse(&["--quick", "--markdown"]);
-        for flag in ["--trial-batch", "--census-threads"] {
-            assert_eq!(parse(&["--quick", flag, "64", "--markdown"]), plain);
-            assert_eq!(
-                parse(&["--quick", &format!("{flag}=7"), "--markdown"]),
-                plain
-            );
-            assert_eq!(parse(&["--quick", flag, "--markdown"]), plain);
-            // A non-numeric value is dropped too, and a dangling flag is
-            // inert.
-            assert_eq!(parse(&["--quick", flag, "wide", "--markdown"]), plain);
-            assert_eq!(parse(&["--quick", "--markdown", flag]), plain);
-        }
-        // The thread count around them keeps its value.
-        let args = parse(&["--threads=2", "--trial-batch=64", "--census-threads", "3"]);
+        assert_eq!(parse(&["--quick", flag, "64", "--markdown"]), plain);
+        assert_eq!(
+            parse(&["--quick", &format!("{flag}=7"), "--markdown"]),
+            plain
+        );
+        assert_eq!(parse(&["--quick", flag, "--markdown"]), plain);
+        // A non-numeric value is dropped too, and a dangling flag is inert.
+        assert_eq!(parse(&["--quick", flag, "wide", "--markdown"]), plain);
+        assert_eq!(parse(&["--quick", "--markdown", flag]), plain);
+        // The thread count around it keeps its value.
+        let args = parse(&["--threads=2", flag, "3"]);
         assert_eq!(args, parse(&["--threads=2"]));
         assert_eq!(args.threads, 2);
+    }
+
+    #[test]
+    fn trial_batch_flag_forms() {
+        assert_retired_value_flag_is_inert("--trial-batch");
+        let parse = |args: &[&str]| ExpArgs::parse(args.iter().map(|a| a.to_string()));
+        assert_eq!(
+            parse(&["--threads=2", "--trial-batch=64"]),
+            parse(&["--threads=2"])
+        );
+    }
+
+    #[test]
+    fn census_threads_flag_forms() {
+        assert_retired_value_flag_is_inert("--census-threads");
+        let parse = |args: &[&str]| ExpArgs::parse(args.iter().map(|a| a.to_string()));
+        assert_eq!(
+            parse(&["--threads=2", "--census-threads=0"]),
+            parse(&["--threads=2"])
+        );
     }
 
     #[test]
