@@ -255,8 +255,18 @@ mod tests {
     #[test]
     fn e9_families_materialise_on_the_bitset_backend() {
         // The experiment's dense path builds one BitsetSample per instance;
-        // all four candidate families must take the arithmetic-index path.
-        use faultnet_percolation::sample::{BitsetSample, SampleBackend};
+        // all four candidate families hold one bit per edge-index slot and
+        // read back the sampler's states.
+        use faultnet_percolation::sample::{BitsetSample, EdgeStates};
+        fn check<T: Topology>(graph: &T, cfg: &PercolationConfig) {
+            let sample = BitsetSample::from_config(graph, cfg);
+            let bound = graph.edge_index_bound().unwrap();
+            assert_eq!(sample.words().len() as u64, bound.div_ceil(64));
+            let sampler = cfg.sampler();
+            for e in graph.edges() {
+                assert_eq!(sample.is_open(e), sampler.is_open(e), "{}", graph.name());
+            }
+        }
         let quick = OpenQuestionsExperiment::quick();
         let cfg = PercolationConfig::new(0.5, quick.base_seed);
         let de_bruijn = DeBruijn::new(quick.string_length);
@@ -268,22 +278,10 @@ mod tests {
                 seed: quick.base_seed,
             },
         );
-        assert_eq!(
-            BitsetSample::from_config(&de_bruijn, &cfg).backend(),
-            SampleBackend::Bitset
-        );
-        assert_eq!(
-            BitsetSample::from_config(&shuffle, &cfg).backend(),
-            SampleBackend::Bitset
-        );
-        assert_eq!(
-            BitsetSample::from_config(&butterfly, &cfg).backend(),
-            SampleBackend::Bitset
-        );
-        assert_eq!(
-            BitsetSample::from_config(&cycle, &cfg).backend(),
-            SampleBackend::Bitset
-        );
+        check(&de_bruijn, &cfg);
+        check(&shuffle, &cfg);
+        check(&butterfly, &cfg);
+        check(&cycle, &cfg);
     }
 
     #[test]

@@ -132,8 +132,7 @@ pub trait TrialVisitor<T: ?Sized>: Sync {
 /// * every other visitor runs scalar, one [`FaultInstance`] per trial;
 /// * a forced `exec.trial_batch > 0` overrides both with that width.
 ///
-/// Lanes need a [`FaultModel::lane_batchable`] model and a graph with a
-/// closed-form edge index ([`TrialBatch::supported`]); otherwise the loop
+/// Lanes need a [`FaultModel::lane_batchable`] model; otherwise the loop
 /// runs scalar. Every store is O(|E|) per chunk, and the results are the
 /// same for every choice.
 ///
@@ -161,7 +160,7 @@ where
         model.instance_from_placement(&placement, graph, config.with_seed(seed), pair)
     };
     let width = lane_width(visitor.lanes_pay_off(), trials, exec);
-    let batched = width > 0 && model.lane_batchable() && TrialBatch::supported(graph);
+    let batched = width > 0 && model.lane_batchable();
     let lanes = if batched { clamp_lanes(width) } else { 1 };
     let run_chunk = |&t0: &u32| -> Vec<V::Output> {
         if !batched {

@@ -10,7 +10,7 @@ use faultnet_faultmodel::{
     AdversarialBudget, BernoulliEdges, BernoulliNodes, CorrelatedRegions, FaultModel,
     FaultModelSpec, PairPlacement,
 };
-use faultnet_percolation::sample::{BitsetSample, EdgeStates, SampleBackend};
+use faultnet_percolation::sample::{BitsetSample, EdgeStates};
 use faultnet_percolation::PercolationConfig;
 use faultnet_topology::{
     binary_tree::BinaryTree,
@@ -78,7 +78,6 @@ proptest! {
                 graph.name()
             );
             prop_assert_eq!(legacy.num_open(), through_model.num_open());
-            prop_assert_eq!(through_model.backend(), SampleBackend::Bitset);
         }
     }
 
@@ -228,21 +227,22 @@ fn only_the_adversary_has_a_nontrivial_placement() {
     }
 }
 
-/// Every model materialises through `BitsetSample::from_states` onto the
-/// closed-form bitset backend on every built-in family — the dense-analytics
+/// Every model materialises through `BitsetSample::from_states` onto one
+/// bit per edge-index slot on every built-in family — the dense-analytics
 /// path is model-agnostic.
 #[test]
 fn every_model_materialises_on_the_bitset_backend() {
     let cfg = PercolationConfig::new(0.6, 17);
     for graph in family_zoo() {
         let graph = graph.as_ref();
+        let bound = graph.edge_index_bound().unwrap();
         for model in all_models() {
             let instance = model.instance(graph, cfg, Some(graph.canonical_pair()));
             let sample = BitsetSample::from_states(graph, &instance);
             assert_eq!(
-                sample.backend(),
-                SampleBackend::Bitset,
-                "{} on {} fell back to the frozen path",
+                sample.words().len() as u64,
+                bound.div_ceil(64),
+                "{} on {}: one bit per edge-index slot",
                 model.name(),
                 graph.name()
             );

@@ -20,6 +20,7 @@
 //! `tests/census_equivalence.rs` asserts this accessor for accessor.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use faultnet_topology::{EdgeId, Topology, VertexId};
 
@@ -51,17 +52,13 @@ impl ComponentCensus {
         // not one per edge, so the disabled cost is a single relaxed load.
         let mut edges_scanned = 0u64;
         let mut unions = 0u64;
-        for v in graph.vertices() {
-            for w in graph.neighbors(v) {
-                if v.0 < w.0 {
-                    edges_scanned += 1;
-                    if states.is_open(EdgeId::new(v, w)) {
-                        unions += 1;
-                        uf.union(v.0 as usize, w.0 as usize);
-                    }
-                }
+        graph.for_each_edge(&mut |e| {
+            edges_scanned += 1;
+            if states.is_open(e) {
+                unions += 1;
+                uf.union(e.lo().0 as usize, e.hi().0 as usize);
             }
-        }
+        });
         faultnet_obs::count("census.edges_scanned", edges_scanned);
         faultnet_obs::count("census.unions", unions);
         // Canonicalise: the first vertex (in ascending id order) seen with a
@@ -143,12 +140,13 @@ impl ComponentCensus {
                     let mut unions = 0u64;
                     for v in lo..hi {
                         let v = VertexId(v);
-                        for w in graph.neighbors(v) {
+                        let _ = graph.for_each_neighbor(v, &mut |w| {
                             if v.0 < w.0 && states.is_open(EdgeId::new(v, w)) {
                                 unions += 1;
                                 uf.union(v.0 as usize, w.0 as usize);
                             }
-                        }
+                            ControlFlow::Continue(())
+                        });
                     }
                     faultnet_obs::count("census.unions", unions);
                     // Scoped-thread TLS destructors may run after the scope

@@ -392,13 +392,11 @@ impl IncrementalCensus {
             applied: Vec::new(),
             open: HashSet::new(),
         };
-        for v in graph.vertices() {
-            for w in graph.neighbors(v) {
-                if v.0 < w.0 && states.is_open(EdgeId::new(v, w)) {
-                    census.apply(EdgeId::new(v, w));
-                }
+        graph.for_each_edge(&mut |e| {
+            if states.is_open(e) {
+                census.apply(e);
             }
-        }
+        });
         census.open = census.applied.iter().copied().collect();
         census
     }

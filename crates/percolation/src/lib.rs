@@ -47,7 +47,7 @@ pub mod trial_batch;
 pub mod union_find;
 
 pub use dynamic::{ChurnEvent, ChurnProcess, ChurnSchedule, EventKind, IncrementalCensus};
-pub use sample::{BitsetSample, EdgeSampler, EdgeStates, SampleBackend};
+pub use sample::{BitsetSample, EdgeSampler, EdgeStates};
 pub use subgraph::PercolatedGraph;
 pub use trial_batch::{LaneView, TrialBatch};
 

@@ -12,10 +12,10 @@
 //!   what routers probe.
 //! * [`BitsetSample`] — one percolation instance materialised as a bitset
 //!   over the topology's canonical edge indices; the backing store for dense
-//!   analytics (component censuses, chemical distances, diameters) that
-//!   query essentially every edge, often repeatedly.
-//! * [`FrozenSample`] — an eagerly materialised set of open edges (useful
-//!   for tests that want to manipulate individual edges).
+//!   analytics (component censuses, chemical distances) that query
+//!   essentially every edge, often repeatedly.
+//! * [`FrozenSample`] — an eagerly materialised set of open edges, for tests
+//!   that build or edit an instance edge by edge.
 //!
 //! The Bernoulli-edge assumption is **not** baked into the consumers:
 //! everything downstream reads states through the [`EdgeStates`] trait, and
@@ -111,40 +111,17 @@ impl EdgeStates for EdgeSampler {
     }
 }
 
-/// Which storage strategy a [`BitsetSample`] ended up using, as reported by
-/// [`BitsetSample::backend`].
-///
-/// Dense paths are expected to run on [`SampleBackend::Bitset`]; the
-/// [`SampleBackend::Frozen`] fallback only exists for third-party topologies
-/// without a closed-form [`Topology::edge_index`]. Tests probe this so a
-/// family silently losing its closed form fails loudly instead of silently
-/// degrading every dense consumer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SampleBackend {
-    /// Closed-form edge indices: `is_open` is a single bit read.
-    Bitset,
-    /// No closed-form index: open edges held in a hash set.
-    Frozen,
-}
-
 /// One percolation instance materialised as a bitset over the topology's
 /// canonical edge indices.
 ///
-/// Built once per instance (one pass over [`Topology::edges`], hashing each
-/// edge exactly once through the lazy sampler), after which every `is_open`
-/// query is a single bit read — no hashing, no `HashSet` probing. This is
-/// the backing store the dense analytics use: a component census or a
-/// chemical-distance BFS inspects each edge from both endpoints, so paying
-/// the hash once and reading bits afterwards wins as soon as the consumer
-/// touches the graph more than once.
-///
-/// Every built-in family implements the closed-form
-/// [`Topology::edge_index`], so for all of them the bit position is computed
-/// arithmetically and queries never hash. Third-party topologies without a
-/// closed form fall back to a [`FrozenSample`] of the open edges, which
-/// still materialises the instance but answers queries through one hash
-/// lookup; [`BitsetSample::backend`] reports which path was taken, and the
-/// test suite asserts no built-in family ever regresses to the fallback.
+/// Built once per instance (one [`Topology::for_each_edge`] walk, asking
+/// `states` about each edge exactly once), after which every `is_open`
+/// query is a single bit read at the closed-form [`Topology::edge_index`]
+/// slot — no hashing, no `HashSet` probing. This is the backing store the
+/// dense analytics use: a component census or a chemical-distance BFS
+/// inspects each edge from both endpoints, so paying the hash once and
+/// reading bits afterwards wins as soon as the consumer touches the graph
+/// more than once.
 ///
 /// Edges not present in the topology always report closed — unlike
 /// [`EdgeSampler`], which answers for arbitrary `EdgeId`s. The two agree on
@@ -171,53 +148,37 @@ pub enum SampleBackend {
 #[derive(Debug, Clone)]
 pub struct BitsetSample<'g, T: ?Sized> {
     graph: &'g T,
-    /// Bit per canonical edge index; empty in fallback mode.
+    /// Bit per canonical edge index.
     words: Vec<u64>,
     num_open: u64,
-    /// Open-edge set, only for families without a closed-form index.
-    fallback: Option<FrozenSample>,
 }
 
 impl<'g, T: Topology + ?Sized> BitsetSample<'g, T> {
     /// Materialises the state of every edge of `graph` under `states`.
     ///
     /// Runs in `O(|E|)` time; the bitset occupies one bit per slot of the
-    /// topology's edge-index space (fallback families store the set of open
-    /// edges instead).
+    /// topology's edge-index space.
     pub fn from_states<S: EdgeStates>(graph: &'g T, states: &S) -> Self {
         faultnet_obs::count("sample.materialisations", 1);
         faultnet_obs::count("sample.edges_sampled", graph.num_edges());
-        match graph.edge_index_bound() {
-            Some(bound) => {
-                let mut words = vec![0u64; bound.div_ceil(64) as usize];
-                let mut num_open = 0u64;
-                graph.for_each_edge(&mut |e| {
-                    if states.is_open(e) {
-                        let index = graph
-                            .edge_index(e)
-                            .expect("edge_index_bound() is Some, so every edge must index");
-                        words[(index / 64) as usize] |= 1 << (index % 64);
-                        num_open += 1;
-                    }
-                });
-                BitsetSample {
-                    graph,
-                    words,
-                    num_open,
-                    fallback: None,
-                }
+        let bound = graph
+            .edge_index_bound()
+            .expect("every topology indexes its edges");
+        let mut words = vec![0u64; bound.div_ceil(64) as usize];
+        let mut num_open = 0u64;
+        graph.for_each_edge(&mut |e| {
+            if states.is_open(e) {
+                let index = graph
+                    .edge_index(e)
+                    .expect("every edge of the topology has an index");
+                words[(index / 64) as usize] |= 1 << (index % 64);
+                num_open += 1;
             }
-            None => {
-                let frozen = FrozenSample::from_open_edges(
-                    graph.edges().into_iter().filter(|e| states.is_open(*e)),
-                );
-                BitsetSample {
-                    graph,
-                    words: Vec::new(),
-                    num_open: frozen.num_open() as u64,
-                    fallback: Some(frozen),
-                }
-            }
+        });
+        BitsetSample {
+            graph,
+            words,
+            num_open,
         }
     }
 
@@ -237,24 +198,13 @@ impl<'g, T: Topology + ?Sized> BitsetSample<'g, T> {
         self.num_open
     }
 
-    /// Which storage strategy this sample uses: [`SampleBackend::Bitset`]
-    /// when the topology provides a closed-form edge index (every built-in
-    /// family does), [`SampleBackend::Frozen`] otherwise.
-    pub fn backend(&self) -> SampleBackend {
-        if self.fallback.is_some() {
-            SampleBackend::Frozen
-        } else {
-            SampleBackend::Bitset
-        }
-    }
-
     /// Fraction of the topology's edges that are open (the empirical `p`).
     pub fn open_fraction(&self) -> f64 {
         self.num_open as f64 / self.graph.num_edges() as f64
     }
 
-    /// The raw bitset words (one bit per canonical edge-index slot), empty
-    /// in [`SampleBackend::Frozen`] fallback mode.
+    /// The raw bitset words, one bit per canonical edge-index slot:
+    /// `edge_index_bound().div_ceil(64)` of them.
     ///
     /// Exposed so equivalence tests can compare two samples *bit for bit*
     /// — in particular, that a fault model claiming to reproduce the
@@ -266,12 +216,9 @@ impl<'g, T: Topology + ?Sized> BitsetSample<'g, T> {
 
 impl<T: Topology + ?Sized> EdgeStates for BitsetSample<'_, T> {
     fn is_open(&self, edge: EdgeId) -> bool {
-        match &self.fallback {
-            Some(frozen) => frozen.is_open(edge),
-            None => match self.graph.edge_index(edge) {
-                Some(index) => self.words[(index / 64) as usize] >> (index % 64) & 1 == 1,
-                None => false,
-            },
+        match self.graph.edge_index(edge) {
+            Some(index) => self.words[(index / 64) as usize] >> (index % 64) & 1 == 1,
+            None => false,
         }
     }
 }
@@ -425,87 +372,37 @@ mod tests {
         let mesh = Mesh::new(3, 4);
         let torus = Torus::new(2, 5);
         let complete = CompleteGraph::new(24);
-
-        fn check<T: faultnet_topology::Topology>(graph: &T, sampler: &EdgeSampler) {
-            let bitset = BitsetSample::from_states(graph, sampler);
-            let mut open = 0u64;
-            for e in graph.edges() {
-                assert_eq!(
-                    bitset.is_open(e),
-                    sampler.is_open(e),
-                    "disagreement at {e} on {}",
-                    graph.name()
-                );
-                open += u64::from(sampler.is_open(e));
-            }
-            assert_eq!(bitset.num_open(), open, "{}", graph.name());
-        }
-        check(&cube, &sampler);
-        check(&mesh, &sampler);
-        check(&torus, &sampler);
-        check(&complete, &sampler);
-    }
-
-    /// A path graph that deliberately implements no closed-form edge index,
-    /// standing in for third-party topologies: the only way to reach the
-    /// [`FrozenSample`] fallback now that every built-in family indexes.
-    #[derive(Debug, Clone, Copy)]
-    struct IndexlessPath {
-        len: u64,
-    }
-
-    impl faultnet_topology::Topology for IndexlessPath {
-        fn num_vertices(&self) -> u64 {
-            self.len
-        }
-
-        fn num_edges(&self) -> u64 {
-            self.len - 1
-        }
-
-        fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-            assert!(self.contains(v), "vertex {v} out of range");
-            let mut out = Vec::with_capacity(2);
-            if v.0 > 0 {
-                out.push(VertexId(v.0 - 1));
-            }
-            if v.0 + 1 < self.len {
-                out.push(VertexId(v.0 + 1));
-            }
-            out
-        }
-
-        fn name(&self) -> String {
-            format!("indexless_path(len={})", self.len)
-        }
-    }
-
-    #[test]
-    fn bitset_sample_fallback_path_for_topologies_without_closed_form() {
-        let path = IndexlessPath { len: 40 };
-        assert_eq!(faultnet_topology::Topology::edge_index_bound(&path), None);
-        let sampler = PercolationConfig::new(0.7, 21).sampler();
-        let bitset = BitsetSample::from_states(&path, &sampler);
-        assert_eq!(bitset.backend(), SampleBackend::Frozen);
-        for e in faultnet_topology::Topology::edges(&path) {
-            assert_eq!(bitset.is_open(e), sampler.is_open(e));
-        }
+        assert_bitset_agrees(&cube, &sampler);
+        assert_bitset_agrees(&mesh, &sampler);
+        assert_bitset_agrees(&torus, &sampler);
+        assert_bitset_agrees(&complete, &sampler);
     }
 
     #[test]
     fn built_in_families_take_the_bitset_backend() {
         use faultnet_topology::double_tree::DoubleBinaryTree;
         let sampler = PercolationConfig::new(0.5, 4).sampler();
-        let cube = Hypercube::new(5);
-        assert_eq!(
-            BitsetSample::from_states(&cube, &sampler).backend(),
-            SampleBackend::Bitset
-        );
-        let tt = DoubleBinaryTree::new(4);
-        assert_eq!(
-            BitsetSample::from_states(&tt, &sampler).backend(),
-            SampleBackend::Bitset
-        );
+        assert_bitset_agrees(&Hypercube::new(5), &sampler);
+        assert_bitset_agrees(&DoubleBinaryTree::new(4), &sampler);
+    }
+
+    /// `graph`'s sample under `sampler` holds one bit per edge-index slot,
+    /// answers every edge as `sampler` does, and counts its open edges.
+    fn assert_bitset_agrees<T: faultnet_topology::Topology>(graph: &T, sampler: &EdgeSampler) {
+        let bitset = BitsetSample::from_states(graph, sampler);
+        let bound = graph.edge_index_bound().unwrap();
+        assert_eq!(bitset.words().len() as u64, bound.div_ceil(64));
+        let mut open = 0u64;
+        for e in graph.edges() {
+            assert_eq!(
+                bitset.is_open(e),
+                sampler.is_open(e),
+                "disagreement at {e} on {}",
+                graph.name()
+            );
+            open += u64::from(sampler.is_open(e));
+        }
+        assert_eq!(bitset.num_open(), open, "{}", graph.name());
     }
 
     #[test]
@@ -516,7 +413,6 @@ mod tests {
             .unwrap()
             .build();
         let sample = BitsetSample::from_config(&ba, &PercolationConfig::new(0.5, 2));
-        assert_eq!(sample.backend(), SampleBackend::Bitset);
         assert_eq!(sample.words().len() as u64, ba.num_edges().div_ceil(64));
         let open = sample
             .words()

@@ -29,14 +29,6 @@
 //! is built with fewer lanes; bits at and above [`TrialBatch::lanes`] are
 //! zero in every word and excluded from [`TrialBatch::lane_mask`], so
 //! lane-masked reductions never observe phantom trials.
-//!
-//! # Fallback
-//!
-//! The transposed store requires a closed-form [`Topology::edge_index`].
-//! Every built-in family provides one; for topologies without it, the
-//! trial loop (`faultnet_faultmodel::trials::run_trials`) falls back to
-//! the scalar store — which the equivalence suites prove is the same
-//! answer, just slower.
 
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
@@ -105,9 +97,9 @@ pub struct TrialBatch<'g, T: ?Sized> {
 }
 
 impl<'g, T: Topology + ?Sized> TrialBatch<'g, T> {
-    /// Whether `graph` supports the transposed store (i.e. has a
-    /// closed-form edge index). Callers fall back to the scalar engine when
-    /// this is `false`.
+    /// Whether `graph` supports the transposed store. Always `true`: every
+    /// topology indexes its edges. Nothing in the library calls it; it
+    /// stays because the benchmark harness does.
     pub fn supported(graph: &T) -> bool {
         graph.edge_index_bound().is_some()
     }
@@ -119,8 +111,7 @@ impl<'g, T: Topology + ?Sized> TrialBatch<'g, T> {
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is not in `1..=64` or if `graph` has no
-    /// closed-form edge index (check [`TrialBatch::supported`] first).
+    /// Panics if `lanes` is not in `1..=64`.
     pub fn from_config(graph: &'g T, config: &PercolationConfig, lanes: usize) -> Self {
         assert!(
             (1..=MAX_LANES).contains(&lanes),
@@ -147,8 +138,7 @@ impl<'g, T: Topology + ?Sized> TrialBatch<'g, T> {
     ///
     /// # Panics
     ///
-    /// Panics if `states` is empty or longer than 64 entries, or if `graph`
-    /// has no closed-form edge index.
+    /// Panics if `states` is empty or longer than 64 entries.
     pub fn from_lane_states<S: EdgeStates>(graph: &'g T, states: &[S]) -> Self {
         let lanes = states.len();
         assert!(
@@ -157,12 +147,12 @@ impl<'g, T: Topology + ?Sized> TrialBatch<'g, T> {
         );
         let bound = graph
             .edge_index_bound()
-            .expect("TrialBatch requires a closed-form edge index; use the scalar fallback");
+            .expect("every topology indexes its edges");
         let mut words = vec![0u64; bound as usize];
         graph.for_each_edge(&mut |e| {
             let index = graph
                 .edge_index(e)
-                .expect("edge_index_bound() is Some, so every edge must index");
+                .expect("every edge of the topology has an index");
             let mut word = 0u64;
             for (l, lane_states) in states.iter().enumerate() {
                 word |= u64::from(lane_states.is_open(e)) << l;

@@ -4,7 +4,7 @@ use faultnet_percolation::{
     bfs::{bfs, connected, percolation_distance, shortest_open_path, BfsOptions},
     branching::{root_to_leaf_probability, survival_probability},
     components::ComponentCensus,
-    sample::{BitsetSample, EdgeStates, FrozenSample, SampleBackend},
+    sample::{BitsetSample, EdgeStates, FrozenSample},
     union_find::UnionFind,
     PercolatedGraph, PercolationConfig,
 };
@@ -50,21 +50,28 @@ fn family_zoo() -> Vec<Box<dyn Topology>> {
     ]
 }
 
-/// Every built-in family must take the bitset path — a family silently
-/// regressing to the [`FrozenSample`] fallback (say, by losing its
-/// closed-form `edge_index`) fails this test rather than just slowing every
-/// dense consumer down.
+/// Every built-in family materialises one bit per edge-index slot, and the
+/// bitset answers every edge as the lazy sampler does.
 #[test]
 fn every_builtin_family_takes_the_bitset_backend() {
     let sampler = PercolationConfig::new(0.5, 99).sampler();
     for graph in family_zoo() {
-        let sample = BitsetSample::from_states(graph.as_ref(), &sampler);
+        let graph = graph.as_ref();
+        let sample = BitsetSample::from_states(graph, &sampler);
         assert_eq!(
-            sample.backend(),
-            SampleBackend::Bitset,
-            "{} fell back to the FrozenSample path",
+            sample.words().len() as u64,
+            graph.edge_index_bound().unwrap().div_ceil(64),
+            "{}: one bit per edge-index slot",
             graph.name()
         );
+        for e in graph.edges() {
+            assert_eq!(
+                sample.is_open(e),
+                sampler.is_open(e),
+                "{e} on {}",
+                graph.name()
+            );
+        }
     }
 }
 
@@ -91,11 +98,6 @@ proptest! {
         for graph in family_zoo() {
             let graph = graph.as_ref();
             let bitset = BitsetSample::from_states(graph, &sampler);
-            prop_assert!(
-                bitset.backend() == SampleBackend::Bitset,
-                "{} fell back to FrozenSample",
-                graph.name()
-            );
             let frozen = FrozenSample::from_sampler(graph, &sampler);
             let mut open = 0u64;
             for e in graph.edges() {

@@ -89,8 +89,8 @@ impl Topology for Recording<'_> {
         self.inner.num_edges()
     }
 
-    fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        self.inner.neighbors(v)
+    fn max_degree(&self) -> usize {
+        self.inner.max_degree()
     }
 
     fn for_each_neighbor(

@@ -8,7 +8,7 @@
 
 use faultnet_faultmodel::{trials::TrialExec, BernoulliEdges};
 use faultnet_percolation::bfs::connected;
-use faultnet_percolation::sample::{BitsetSample, SampleBackend};
+use faultnet_percolation::sample::BitsetSample;
 use faultnet_percolation::PercolationConfig;
 use faultnet_routing::bfs::{BidirectionalOracleBfs, FloodRouter};
 use faultnet_routing::complexity::ComplexityHarness;
@@ -139,7 +139,6 @@ proptest! {
         let (u, v) = g.canonical_pair();
         let sampler = PercolationConfig::new(p, seed).sampler();
         let bitset = BitsetSample::from_states(&g, &sampler);
-        prop_assert_eq!(bitset.backend(), SampleBackend::Bitset);
         let mut lazy_engine = ProbeEngine::local(&g, &sampler, u);
         let mut bitset_engine = ProbeEngine::local(&g, &bitset, u);
         let lazy = FloodRouter::new().route(&mut lazy_engine, u, v).unwrap();

@@ -7,8 +7,8 @@
 //! family allow and bit-identical to the scalar path where they don't —
 //! and the connectivity metric is one [`FaultModel::instance`] plus one
 //! [`ComponentCensus::compute`]. The server's value is around the
-//! measurement, not in it: instance + census results are memoized in an
-//! LRU keyed on the canonical config hash, and measurement parallelism is
+//! measurement, not in it: census results are memoized in an LRU keyed on
+//! the canonical config hash, and measurement parallelism is
 //! pinned to one thread so the `--workers` knob (HTTP concurrency) can
 //! never touch a response byte.
 //!
@@ -16,7 +16,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use faultnet_faultmodel::{FaultInstance, TrialExec};
+use faultnet_faultmodel::TrialExec;
 use faultnet_percolation::components::ComponentCensus;
 use faultnet_percolation::PercolationConfig;
 use faultnet_routing::bfs::FloodRouter;
@@ -32,18 +32,9 @@ use crate::cache::LruCache;
 use crate::json::Json;
 use crate::query::{Family, Metric, Query};
 
-/// A memoized trial-0 fault instance with its component census, shared
-/// across requests through the LRU.
-#[derive(Debug)]
-pub struct CensusEntry {
-    /// The materialised fault instance (frozen edge/node state).
-    pub instance: FaultInstance,
-    /// Its component census.
-    pub census: ComponentCensus,
-}
-
-/// The instance/census LRU, shared by reference across workers.
-pub type CensusCache = Mutex<LruCache<u64, Arc<CensusEntry>>>;
+/// The LRU of trial-0 component censuses, shared by reference across
+/// workers.
+pub type CensusCache = Mutex<LruCache<u64, Arc<ComponentCensus>>>;
 
 /// A query's graph, concretely built (the families are statically known,
 /// so the engine dispatches by enum instead of boxing `dyn Topology` —
@@ -199,10 +190,10 @@ fn connectivity_answer<T: Topology + Sync>(
         .lock()
         .expect("census cache poisoned")
         .get(&key);
-    let entry = match cached {
-        Some(entry) => {
+    let census = match cached {
+        Some(census) => {
             faultnet_obs::count("server.census_cache.hits", 1);
-            entry
+            census
         }
         None => {
             faultnet_obs::count("server.census_cache.misses", 1);
@@ -210,16 +201,14 @@ fn connectivity_answer<T: Topology + Sync>(
             let model = query.fault_model.build();
             let config = PercolationConfig::new(query.p, query.seed);
             let instance = model.instance(graph, config, Some(pair));
-            let census = ComponentCensus::compute(graph, &instance);
-            let entry = Arc::new(CensusEntry { instance, census });
+            let census = Arc::new(ComponentCensus::compute(graph, &instance));
             census_cache
                 .lock()
                 .expect("census cache poisoned")
-                .insert(key, Arc::clone(&entry));
-            entry
+                .insert(key, Arc::clone(&census));
+            census
         }
     };
-    let census = &entry.census;
     Json::Obj(vec![
         ("query".to_string(), Json::Str(query.canonical_key(pair))),
         ("num_vertices".into(), Json::UInt(census.num_vertices())),

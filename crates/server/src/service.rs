@@ -10,7 +10,7 @@
 //!    warm-vs-cold byte-identity holds by construction.
 //! 2. **Coalescer** — concurrent misses on the same key run one
 //!    measurement; see [`crate::coalesce`] for the correctness argument.
-//! 3. **Engine** — the cold path; memoizes instance + census pairs in its
+//! 3. **Engine** — the cold path; memoizes component censuses in its
 //!    own LRU keyed on the canonical config hash (see [`crate::engine`]).
 
 use std::sync::{Arc, Mutex};

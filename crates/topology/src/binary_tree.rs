@@ -122,10 +122,6 @@ impl Topology for BinaryTree {
         self.num_vertices() - 1
     }
 
-    fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        crate::collect_neighbors(self, v)
-    }
-
     #[inline]
     fn for_each_neighbor(
         &self,

@@ -85,10 +85,6 @@ impl Topology for Butterfly {
         2 * self.dimension as u64 * self.rows()
     }
 
-    fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        crate::collect_neighbors(self, v)
-    }
-
     #[inline]
     fn for_each_neighbor(
         &self,

@@ -54,10 +54,6 @@ impl Topology for CompleteGraph {
         self.order * (self.order - 1) / 2
     }
 
-    fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        crate::collect_neighbors(self, v)
-    }
-
     #[inline]
     fn for_each_neighbor(
         &self,

@@ -128,10 +128,6 @@ impl Topology for CycleWithMatching {
         self.order + chords
     }
 
-    fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        crate::collect_neighbors(self, v)
-    }
-
     #[inline]
     fn for_each_neighbor(
         &self,

@@ -80,10 +80,6 @@ impl Topology for DeBruijn {
         degree_sum / 2
     }
 
-    fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        crate::collect_neighbors(self, v)
-    }
-
     /// Successors then predecessors, skipping self-loops and repeats.
     #[inline]
     fn for_each_neighbor(

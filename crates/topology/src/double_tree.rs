@@ -251,10 +251,6 @@ impl Topology for DoubleBinaryTree {
         2 * (2 * self.num_leaves() - 2)
     }
 
-    fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        crate::collect_neighbors(self, v)
-    }
-
     #[inline]
     fn for_each_neighbor(
         &self,

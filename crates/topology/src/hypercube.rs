@@ -144,10 +144,6 @@ impl Topology for Hypercube {
         (self.dimension as u64) << (self.dimension - 1)
     }
 
-    fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        crate::collect_neighbors(self, v)
-    }
-
     #[inline]
     fn for_each_neighbor(
         &self,

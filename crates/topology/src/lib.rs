@@ -180,38 +180,41 @@ pub trait Topology {
     /// Number of undirected edges.
     fn num_edges(&self) -> u64;
 
-    /// Neighbors of `v` in the *fault-free* graph.
+    /// Neighbors of `v` in the *fault-free* graph: the
+    /// [`Topology::for_each_neighbor`] visit collected into a vector sized
+    /// by [`Topology::max_degree`], so the two never disagree on order.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`Topology::for_each_neighbor`].
+    fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
+        let mut out = Vec::with_capacity(self.max_degree());
+        let _ = self.for_each_neighbor(v, &mut |w| {
+            out.push(w);
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    /// Calls `f` on each neighbor of `v` in the fault-free graph and stops
+    /// as soon as `f` returns [`ControlFlow::Break`]. Returns `Break` iff
+    /// `f` did.
+    ///
+    /// This is the family's closed-form adjacency: `neighbors`, `degree`,
+    /// `incident_edges` and `edges` all follow its order, and hot loops
+    /// (flooding, BFS conditioning, censuses) walk it without allocating.
+    /// Probe counts depend on the visiting order. The callback is a trait
+    /// object so that `dyn Topology` stays object-safe.
     ///
     /// # Panics
     ///
     /// Implementations may panic if `v` is not a vertex of the graph
     /// (`v.0 >= num_vertices()`).
-    fn neighbors(&self, v: VertexId) -> Vec<VertexId>;
-
-    /// Calls `f` on each neighbor of `v` in the fault-free graph, in exactly
-    /// the order of [`Topology::neighbors`], and stops as soon as `f`
-    /// returns [`ControlFlow::Break`]. Returns `Break` iff `f` did.
-    ///
-    /// This is the allocation-free form of [`Topology::neighbors`] that hot
-    /// loops (flooding, BFS conditioning) walk; probe counts depend on the
-    /// visiting order, so the two must agree element for element. The
-    /// default delegates to `neighbors`; every built-in family overrides it
-    /// with its closed form. The callback is a trait object so that
-    /// `dyn Topology` stays object-safe.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Topology::neighbors`].
     fn for_each_neighbor(
         &self,
         v: VertexId,
         f: &mut dyn FnMut(VertexId) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        for w in self.neighbors(v) {
-            f(w)?;
-        }
-        ControlFlow::Continue(())
-    }
+    ) -> ControlFlow<()>;
 
     /// Human-readable family name with parameters, e.g. `"hypercube(n=12)"`.
     fn name(&self) -> String;
@@ -234,23 +237,12 @@ pub trait Topology {
     /// Returns `true` if `{u, v}` is an edge of the fault-free graph; `false`
     /// for `u == v` and for pairs with an endpoint outside the graph.
     ///
-    /// The default answers through [`Topology::edge_index`] when the family
-    /// has a closed form, and otherwise scans `u`'s neighbors.
+    /// The default answers through [`Topology::edge_index`].
     fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        if u == v || !self.contains(u) || !self.contains(v) {
-            return false;
-        }
-        if self.edge_index_bound().is_some() {
-            return self.edge_index(EdgeId::new(u, v)).is_some();
-        }
-        self.for_each_neighbor(u, &mut |w| {
-            if w == v {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        })
-        .is_break()
+        u != v
+            && self.contains(u)
+            && self.contains(v)
+            && self.edge_index(EdgeId::new(u, v)).is_some()
     }
 
     /// Iterator over all vertices.
@@ -321,56 +313,33 @@ pub trait Topology {
         (VertexId(0), VertexId(self.num_vertices() - 1))
     }
 
-    /// Dense canonical index of `edge`, when the family admits a closed form.
+    /// Dense canonical index of `edge`, computed from the family's
+    /// structure (a bit position for the hypercube, an axis for the mesh, a
+    /// rank in the sorted rows of an explicit graph, …). Materialised
+    /// edge-state stores — most importantly `faultnet-percolation`'s
+    /// `BitsetSample` — keep an edge's state at this slot, so `is_open` is
+    /// a single bit read instead of a hash.
     ///
-    /// Families that can compute an injective `edge -> u64` mapping from
-    /// their structure (a bit position for the hypercube, an axis for the
-    /// mesh, …) override this so that materialised edge-state stores — most
-    /// importantly `faultnet-percolation`'s `BitsetSample` — can answer
-    /// `is_open` with a single bit read instead of a hash.
-    ///
-    /// The contract, checked by [`check_topology_invariants`]:
+    /// The contract, checked by [`check_edge_index_contract`]:
     ///
     /// * `edge_index` returns `Some` for an edge **iff** it is an edge of the
-    ///   fault-free graph and [`Topology::edge_index_bound`] is `Some`;
-    ///   non-edges always map to `None`.
+    ///   fault-free graph; non-edges, including pairs with an endpoint
+    ///   outside the graph, map to `None`.
     /// * Returned indices are pairwise distinct and strictly below
     ///   `edge_index_bound()`. The index space may be larger than
     ///   `num_edges()` (unused slots are fine — consumers allocate bits, not
     ///   entries).
-    ///
-    /// The default implementation returns `None` (no closed form).
-    fn edge_index(&self, edge: EdgeId) -> Option<u64> {
-        let _ = edge;
-        None
-    }
+    fn edge_index(&self, edge: EdgeId) -> Option<u64>;
 
     /// Exclusive upper bound on the values [`Topology::edge_index`] can
-    /// return, or `None` if the family implements no closed-form index.
-    ///
-    /// Implementations must override both methods together.
-    fn edge_index_bound(&self) -> Option<u64> {
-        None
-    }
+    /// return. Always `Some`: every family indexes its edges. The `Option`
+    /// is kept so existing callers that match on it (the benchmark harness
+    /// among them) still compile.
+    fn edge_index_bound(&self) -> Option<u64>;
 
-    /// Upper bound on the vertex degree over the whole graph.
-    fn max_degree(&self) -> usize {
-        // Conservative default: scan all vertices. Families override this
-        // with their closed form to avoid the scan.
-        self.vertices().map(|v| self.degree(v)).max().unwrap_or(0)
-    }
-}
-
-/// Collects [`Topology::for_each_neighbor`] into a vector: the `neighbors`
-/// of every family whose closed form lives in its visitor, so the two can
-/// never disagree on order.
-pub(crate) fn collect_neighbors<T: Topology + ?Sized>(graph: &T, v: VertexId) -> Vec<VertexId> {
-    let mut out = Vec::with_capacity(graph.max_degree());
-    let _ = graph.for_each_neighbor(v, &mut |w| {
-        out.push(w);
-        ControlFlow::Continue(())
-    });
-    out
+    /// Upper bound on the vertex degree over the whole graph, in closed
+    /// form. [`Topology::neighbors`] sizes its vector with it.
+    fn max_degree(&self) -> usize;
 }
 
 /// SplitMix64 step: advances `state` and returns the next pseudo-random
@@ -394,7 +363,7 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
 /// in order and stops when the callback breaks; `degree`, `incident_edges`
 /// and `edges` keep `neighbors`' order; and [`Topology::has_edge`] agrees
 /// with `neighbors(u).contains(&v)`, including `u == v` and out-of-range
-/// pairs.
+/// pairs. Last, it checks the edge index with [`check_edge_index_contract`].
 ///
 /// # Panics
 ///
@@ -453,39 +422,7 @@ pub fn check_topology_invariants<T: Topology>(graph: &T) {
         graph.name()
     );
     check_has_edge_agrees_with_neighbors(graph);
-    match graph.edge_index_bound() {
-        Some(bound) => {
-            let mut seen_indices = std::collections::HashSet::new();
-            for e in graph.edges() {
-                let index = graph.edge_index(e).unwrap_or_else(|| {
-                    panic!(
-                        "{}: edge_index_bound() is Some but edge {e} has no index",
-                        graph.name()
-                    )
-                });
-                assert!(
-                    index < bound,
-                    "{}: edge index {index} of {e} exceeds bound {bound}",
-                    graph.name()
-                );
-                assert!(
-                    seen_indices.insert(index),
-                    "{}: duplicate edge index {index} at {e}",
-                    graph.name()
-                );
-            }
-        }
-        None => {
-            for e in graph.edges().iter().take(16) {
-                assert_eq!(
-                    graph.edge_index(*e),
-                    None,
-                    "{}: edge_index() is Some but edge_index_bound() is None",
-                    graph.name()
-                );
-            }
-        }
-    }
+    check_edge_index_contract(graph);
 }
 
 /// The per-vertex half of [`check_topology_invariants`]: the visitor, its
@@ -580,13 +517,10 @@ fn check_has_edge_agrees_with_neighbors<T: Topology>(graph: &T) {
 }
 
 /// Checks the closed-form edge-index contract that dense edge-state stores
-/// (most importantly `faultnet-percolation`'s `BitsetSample`) rely on.
+/// (most importantly `faultnet-percolation`'s `BitsetSample`) rely on; part
+/// of [`check_topology_invariants`]:
 ///
-/// Unlike [`check_topology_invariants`] — which tolerates families without a
-/// closed form — this checker *requires* one and verifies the full contract:
-///
-/// 1. [`Topology::edge_index_bound`] is `Some` (the family declares a
-///    closed form).
+/// 1. [`Topology::edge_index_bound`] is `Some`.
 /// 2. Every edge reported by [`Topology::edges`] maps to `Some` index that is
 ///    strictly below the bound, and no two edges share an index
 ///    (injectivity).
@@ -600,8 +534,7 @@ fn check_has_edge_agrees_with_neighbors<T: Topology>(graph: &T) {
 /// # Panics
 ///
 /// Panics (with a descriptive message) if any part of the contract is
-/// violated. Intended for test code; exercised per family by
-/// [`edge_index_conformance_suite!`].
+/// violated. Intended for test code.
 pub fn check_edge_index_contract<T: Topology>(graph: &T) {
     let name = graph.name();
     let bound = graph.edge_index_bound().unwrap_or_else(|| {
@@ -680,10 +613,9 @@ pub fn check_edge_index_contract<T: Topology>(graph: &T) {
     }
 }
 
-/// Generates one `#[test]` per listed family instance, running both
-/// [`check_topology_invariants`] and [`check_edge_index_contract`] on it —
-/// the shared conformance suite every built-in (and future) family with a
-/// closed-form edge index must pass.
+/// Generates one `#[test]` per listed family instance, running
+/// [`check_topology_invariants`] (edge-index contract included) on it — the
+/// shared conformance suite every built-in (and future) family must pass.
 ///
 /// ```
 /// faultnet_topology::edge_index_conformance_suite! {
@@ -699,7 +631,6 @@ macro_rules! edge_index_conformance_suite {
             fn $test_name() {
                 let graph = $graph;
                 $crate::check_topology_invariants(&graph);
-                $crate::check_edge_index_contract(&graph);
             }
         )+
     };

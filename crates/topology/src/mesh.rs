@@ -189,10 +189,6 @@ impl Topology for Mesh {
         (self.dimension as u64) * (self.side - 1) * self.side.pow(self.dimension - 1)
     }
 
-    fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        crate::collect_neighbors(self, v)
-    }
-
     /// Per axis, the step down then the step up; the coordinates are peeled
     /// off `v` digit by digit rather than materialised.
     #[inline]

@@ -81,10 +81,6 @@ impl Topology for ShuffleExchange {
         degree_sum / 2
     }
 
-    fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        crate::collect_neighbors(self, v)
-    }
-
     /// Exchange, left shuffle, right shuffle, skipping self-loops and
     /// repeats.
     #[inline]

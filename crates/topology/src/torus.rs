@@ -118,10 +118,6 @@ impl Topology for Torus {
         (self.dimension as u64) * self.side.pow(self.dimension)
     }
 
-    fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        crate::collect_neighbors(self, v)
-    }
-
     /// Per axis, the step down then the step up, each wrapping around.
     #[inline]
     fn for_each_neighbor(
