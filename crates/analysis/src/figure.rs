@@ -88,11 +88,6 @@ impl AsciiFigure {
         self
     }
 
-    /// The number of series on the figure.
-    pub fn num_series(&self) -> usize {
-        self.series.len()
-    }
-
     fn transform(scale: Scale, v: f64) -> Option<f64> {
         match scale {
             Scale::Linear => Some(v),
@@ -240,7 +235,6 @@ mod tests {
         let fig = AsciiFigure::new("two series")
             .with_series(Series::new("local", vec![(0.0, 0.0), (1.0, 10.0)]))
             .with_series(Series::new("oracle", vec![(0.0, 5.0), (1.0, 6.0)]));
-        assert_eq!(fig.num_series(), 2);
         let text = fig.render();
         assert!(text.contains('l'));
         assert!(text.contains('o'));

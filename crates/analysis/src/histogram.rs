@@ -14,7 +14,7 @@
 ///
 /// let mut h = Histogram::new(0.0, 10.0, 5);
 /// h.extend([1.0, 2.5, 7.0, 9.9, 11.0]);
-/// assert_eq!(h.total_count(), 5);
+/// assert_eq!(h.counts(), &[1, 1, 0, 1, 1]);
 /// assert_eq!(h.overflow(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -65,11 +65,6 @@ impl Histogram {
         let mut h = Histogram::new(min, max + f64::EPSILON * max.abs().max(1.0), bins);
         h.extend(finite);
         h
-    }
-
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.counts.len()
     }
 
     /// Adds one observation.
@@ -125,11 +120,6 @@ impl Histogram {
         self.overflow
     }
 
-    /// Total number of observations recorded (including under/overflow).
-    pub fn total_count(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
     /// Renders the histogram as a text bar chart.
     pub fn render(&self, max_bar_width: usize) -> String {
         let peak = self.counts.iter().copied().max().unwrap_or(0).max(1);
@@ -156,15 +146,19 @@ impl Histogram {
 mod tests {
     use super::*;
 
+    /// Every recorded observation, including under- and overflow.
+    fn observations(h: &Histogram) -> u64 {
+        h.counts().iter().sum::<u64>() + h.underflow() + h.overflow()
+    }
+
     #[test]
     fn counts_fall_into_expected_bins() {
         let mut h = Histogram::new(0.0, 10.0, 5);
         h.extend([0.0, 1.9, 2.0, 5.5, 9.99]);
         assert_eq!(h.counts(), &[2, 1, 1, 0, 1]);
-        assert_eq!(h.total_count(), 5);
+        assert_eq!(observations(&h), 5);
         assert_eq!(h.underflow(), 0);
         assert_eq!(h.overflow(), 0);
-        assert_eq!(h.num_bins(), 5);
         assert_eq!(h.bin_range(0), (0.0, 2.0));
         assert_eq!(h.bin_range(4), (8.0, 10.0));
     }
@@ -175,13 +169,13 @@ mod tests {
         h.extend([-0.5, 0.5, 1.0, 2.0, f64::NAN]);
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total_count(), 4); // NaN ignored
+        assert_eq!(observations(&h), 4); // NaN ignored
     }
 
     #[test]
     fn from_values_covers_the_data() {
         let h = Histogram::from_values((1..=100).map(|i| i as f64), 10);
-        assert_eq!(h.total_count(), 100);
+        assert_eq!(observations(&h), 100);
         assert_eq!(h.underflow(), 0);
         assert_eq!(h.overflow(), 0);
         assert!(h.counts().iter().all(|&c| (9..=11).contains(&c)));
@@ -190,7 +184,7 @@ mod tests {
     #[test]
     fn constant_data_is_handled() {
         let h = Histogram::from_values([5.0, 5.0, 5.0], 4);
-        assert_eq!(h.total_count(), 3);
+        assert_eq!(observations(&h), 3);
         assert_eq!(h.counts().iter().sum::<u64>(), 3);
     }
 

@@ -77,44 +77,6 @@ pub fn steepest_rise(points: &[(f64, f64)]) -> Option<f64> {
     best.map(|(_, midpoint)| midpoint)
 }
 
-/// Classification of one side of a phase diagram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Routing is cheap: measured complexity grows polynomially (bounded
-    /// log–log slope drift).
-    Efficient,
-    /// Routing is expensive: measured complexity grows super-polynomially or
-    /// the router fails/needs its budget.
-    Hard,
-}
-
-/// Classifies one measured scaling curve as [`Phase::Efficient`] or
-/// [`Phase::Hard`] by comparing the power-law exponent fitted on the first
-/// half of the sizes with the one fitted on the second half: a drift larger
-/// than `drift_tolerance` (or missing data) is classified as hard.
-///
-/// This is the finite-size proxy for "polynomial vs super-polynomial" used by
-/// the hypercube transition experiment.
-pub fn classify_scaling(points: &[(f64, f64)], drift_tolerance: f64) -> Phase {
-    use crate::regression::fit_power_law;
-    let mut sorted: Vec<(f64, f64)> = points
-        .iter()
-        .copied()
-        .filter(|(x, y)| *x > 0.0 && *y > 0.0)
-        .collect();
-    sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite x values"));
-    if sorted.len() < 4 {
-        return Phase::Hard;
-    }
-    let mid = sorted.len() / 2;
-    let early = fit_power_law(&sorted[..mid]);
-    let late = fit_power_law(&sorted[mid..]);
-    match (early, late) {
-        (Some(e), Some(l)) if l.exponent - e.exponent <= drift_tolerance => Phase::Efficient,
-        _ => Phase::Hard,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,17 +112,5 @@ mod tests {
         let x = steepest_rise(&curve).unwrap();
         assert!((x - 0.45).abs() < 1e-9);
         assert!(steepest_rise(&[(1.0, 1.0)]).is_none());
-    }
-
-    #[test]
-    fn classify_scaling_polynomial_vs_exponential() {
-        // y = x^2: stable exponent → efficient.
-        let poly: Vec<(f64, f64)> = (2..14).map(|i| (i as f64, (i as f64).powi(2))).collect();
-        assert_eq!(classify_scaling(&poly, 0.5), Phase::Efficient);
-        // y = e^x: the log-log slope keeps climbing → hard.
-        let expo: Vec<(f64, f64)> = (2..14).map(|i| (i as f64, (i as f64).exp())).collect();
-        assert_eq!(classify_scaling(&expo, 0.5), Phase::Hard);
-        // Too little data is conservatively hard.
-        assert_eq!(classify_scaling(&poly[..3], 0.5), Phase::Hard);
     }
 }

@@ -16,7 +16,6 @@
 pub struct Summary {
     sorted: Vec<f64>,
     mean: f64,
-    variance: f64,
 }
 
 impl Summary {
@@ -35,20 +34,10 @@ impl Summary {
             return Summary {
                 sorted,
                 mean: f64::NAN,
-                variance: f64::NAN,
             };
         }
         let mean = sorted.iter().sum::<f64>() / n as f64;
-        let variance = if n < 2 {
-            0.0
-        } else {
-            sorted.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n as f64 - 1.0)
-        };
-        Summary {
-            sorted,
-            mean,
-            variance,
-        }
+        Summary { sorted, mean }
     }
 
     /// Builds a summary from integer counts (e.g. probe counts).
@@ -72,25 +61,6 @@ impl Summary {
     /// Arithmetic mean.
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Unbiased sample variance.
-    pub fn variance(&self) -> f64 {
-        self.variance
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        if self.sorted.is_empty() {
-            f64::NAN
-        } else {
-            self.std_dev() / (self.sorted.len() as f64).sqrt()
-        }
     }
 
     /// Smallest value.
@@ -128,63 +98,6 @@ impl Summary {
     pub fn median(&self) -> f64 {
         self.quantile(0.5)
     }
-
-    /// A normal-approximation confidence interval for the mean at the given
-    /// z-score (1.96 for ~95%).
-    pub fn confidence_interval(&self, z: f64) -> (f64, f64) {
-        let half = z * self.std_error();
-        (self.mean - half, self.mean + half)
-    }
-}
-
-/// The mean of a sample of `u64` counts, as an `f64`.
-pub fn mean_of_counts(values: &[u64]) -> f64 {
-    if values.is_empty() {
-        f64::NAN
-    } else {
-        values.iter().sum::<u64>() as f64 / values.len() as f64
-    }
-}
-
-/// A binomial proportion together with a normal-approximation confidence
-/// half-width: convenient for reporting success rates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Proportion {
-    /// Number of successes.
-    pub successes: u64,
-    /// Number of trials.
-    pub trials: u64,
-}
-
-impl Proportion {
-    /// Creates a proportion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `successes > trials`.
-    pub fn new(successes: u64, trials: u64) -> Self {
-        assert!(successes <= trials, "successes cannot exceed trials");
-        Proportion { successes, trials }
-    }
-
-    /// The point estimate `successes / trials` (`NaN` when `trials == 0`).
-    pub fn estimate(&self) -> f64 {
-        if self.trials == 0 {
-            f64::NAN
-        } else {
-            self.successes as f64 / self.trials as f64
-        }
-    }
-
-    /// Normal-approximation half-width of the confidence interval at z-score
-    /// `z`.
-    pub fn half_width(&self, z: f64) -> f64 {
-        if self.trials == 0 {
-            return f64::NAN;
-        }
-        let p = self.estimate();
-        z * (p * (1.0 - p) / self.trials as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -196,7 +109,6 @@ mod tests {
         let s = Summary::from_values([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(s.len(), 8);
         assert_eq!(s.mean(), 5.0);
-        assert!((s.std_dev() - 2.138).abs() < 0.01);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
         assert_eq!(s.median(), 4.5);
@@ -217,10 +129,8 @@ mod tests {
         assert!(empty.is_empty());
         assert!(empty.mean().is_nan());
         assert!(empty.median().is_nan());
-        assert!(empty.std_error().is_nan());
         let single = Summary::from_values([42.0]);
         assert_eq!(single.mean(), 42.0);
-        assert_eq!(single.variance(), 0.0);
         assert_eq!(single.quantile(0.3), 42.0);
     }
 
@@ -228,25 +138,6 @@ mod tests {
     fn from_counts_and_mean_of_counts() {
         let s = Summary::from_counts([10u64, 20, 30]);
         assert_eq!(s.mean(), 20.0);
-        assert_eq!(mean_of_counts(&[10, 20, 30]), 20.0);
-        assert!(mean_of_counts(&[]).is_nan());
-    }
-
-    #[test]
-    fn confidence_interval_brackets_mean() {
-        let s = Summary::from_values((0..100).map(|i| i as f64));
-        let (lo, hi) = s.confidence_interval(1.96);
-        assert!(lo < s.mean() && s.mean() < hi);
-        assert!(hi - lo < 20.0);
-    }
-
-    #[test]
-    fn proportions() {
-        let p = Proportion::new(30, 100);
-        assert_eq!(p.estimate(), 0.3);
-        assert!(p.half_width(1.96) < 0.1);
-        let none = Proportion::new(0, 0);
-        assert!(none.estimate().is_nan());
     }
 
     #[test]
@@ -254,11 +145,5 @@ mod tests {
     fn quantile_out_of_range_panics() {
         let s = Summary::from_values([1.0]);
         let _ = s.quantile(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "successes")]
-    fn proportion_rejects_more_successes_than_trials() {
-        let _ = Proportion::new(5, 3);
     }
 }

@@ -122,15 +122,6 @@ impl<P: Clone + Send + Sync> Sweep<P> {
     }
 }
 
-/// Derives a deterministic per-point seed from a base seed and the point's
-/// index; experiments use this so that adding points to a grid does not
-/// change the seeds of existing points.
-pub fn seed_for(base_seed: u64, index: usize) -> u64 {
-    base_seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((index as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,16 +165,6 @@ mod tests {
         assert!(sweep.is_empty());
         assert!(sweep.run(|x| *x).is_empty());
         assert!(sweep.run_parallel(2, |x| *x).is_empty());
-    }
-
-    #[test]
-    fn seeds_are_distinct_and_deterministic() {
-        let a = seed_for(42, 0);
-        let b = seed_for(42, 1);
-        let c = seed_for(43, 0);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, seed_for(42, 0));
     }
 
     #[test]

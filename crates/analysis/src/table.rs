@@ -129,33 +129,6 @@ impl Table {
         out
     }
 
-    /// Renders the table as CSV (headers first, commas and newlines escaped
-    /// by double-quoting).
-    pub fn to_csv(&self) -> String {
-        let escape = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Renders the table as GitHub-flavoured Markdown.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
@@ -214,17 +187,6 @@ mod tests {
         assert_eq!(lines[1].len(), lines[3].len());
         assert_eq!(lines[3].len(), lines[4].len());
         assert_eq!(t.to_string(), text);
-    }
-
-    #[test]
-    fn csv_rendering_and_escaping() {
-        let mut t = Table::new(["a", "b"]);
-        t.push_row(["1,5", "plain"]);
-        t.push_row(["quote\"d", "x"]);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("a,b\n"));
-        assert!(csv.contains("\"1,5\",plain"));
-        assert!(csv.contains("\"quote\"\"d\",x"));
     }
 
     #[test]

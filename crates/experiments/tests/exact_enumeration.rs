@@ -2,19 +2,24 @@
 //!
 //! On a graph with at most 16 edges every fault pattern can be enumerated:
 //! pattern `S` of open edges has probability `p^|S| (1 − p)^(|E| − |S|)`,
-//! so `P(u ∼ v)` and the expected giant fraction are finite sums. The two
-//! estimators the experiments are built on —
+//! so `P(u ∼ v)` and the expected giant fraction are finite sums. So is
+//! `E[probes | u ∼ v]` of the flood router (Definition 2): the router is
+//! deterministic given the instance, so each pattern contributes its one
+//! probe count. The estimators the experiments are built on —
 //! [`measure_giant_point_with_model`] and the conditioned routing harness's
-//! `connectivity_rate` — must land within a fixed z-bound of those sums,
-//! under every instance store the trial loop can pick, and exactly on them
-//! at `p ∈ {0, 1}`, where there is only one pattern.
+//! `connectivity_rate` and `mean_probes` — must land within a fixed z-bound
+//! of those sums, under every instance store the trial loop can pick, and
+//! exactly on them at `p ∈ {0, 1}`, where there is only one pattern.
 
 use faultnet_experiments::hypercube_giant::measure_giant_point_with_model;
 use faultnet_experiments::TrialExec;
 use faultnet_faultmodel::BernoulliEdges;
+use faultnet_percolation::sample::FrozenSample;
 use faultnet_percolation::PercolationConfig;
 use faultnet_routing::bfs::FloodRouter;
 use faultnet_routing::complexity::ComplexityHarness;
+use faultnet_routing::probe::ProbeEngine;
+use faultnet_routing::router::Router;
 use faultnet_topology::complete::CompleteGraph;
 use faultnet_topology::explicit::ExplicitGraph;
 use faultnet_topology::hypercube::Hypercube;
@@ -22,8 +27,9 @@ use faultnet_topology::mesh::Mesh;
 use faultnet_topology::{Topology, VertexId};
 
 /// Standard deviations an estimate may stray from its exact value. Fixed
-/// up front: 24 interior checks at 4.5σ fail by chance with probability
-/// below 2·10⁻⁴, and the seeds are fixed, so a pass is reproducible.
+/// up front: 48 interior checks at 4.5σ (4 graphs × 3 values of `p` × 4
+/// estimates; the stores agree to the bit) fail by chance with probability
+/// below 4·10⁻⁴, and the seeds are fixed, so a pass is reproducible.
 const Z: f64 = 4.5;
 
 const TRIALS: u32 = 2000;
@@ -38,6 +44,18 @@ struct Exact {
     giant_sq: f64,
     /// `P(the whole graph is one component)`.
     spanning: f64,
+    /// `E[flood router probes · 1{u ∼ v}]`.
+    probes: f64,
+    /// `E[flood router probes² · 1{u ∼ v}]`.
+    probes_sq: f64,
+}
+
+impl Exact {
+    /// `E[probes | u ∼ v]` and `Var[probes | u ∼ v]`.
+    fn conditioned_probes(&self) -> (f64, f64) {
+        let mean = self.probes / self.connected;
+        (mean, self.probes_sq / self.connected - mean * mean)
+    }
 }
 
 /// Component representative of `x`, with path halving.
@@ -62,13 +80,18 @@ fn enumerate<T: Topology>(graph: &T, p: f64, (u, v): (VertexId, VertexId)) -> Ex
         giant: 0.0,
         giant_sq: 0.0,
         spanning: 0.0,
+        probes: 0.0,
+        probes_sq: 0.0,
     };
+    let router = FloodRouter::new();
     for mask in 0u32..1 << edges.len() {
         let open = mask.count_ones() as i32;
         let weight = p.powi(open) * (1.0 - p).powi(edges.len() as i32 - open);
         let mut parent: Vec<usize> = (0..n).collect();
+        let mut states = FrozenSample::new();
         for (i, e) in edges.iter().enumerate() {
             if mask >> i & 1 == 1 {
+                states.open_edge(*e);
                 let (a, b) = (
                     find(&mut parent, e.lo().0 as usize),
                     find(&mut parent, e.hi().0 as usize),
@@ -86,6 +109,15 @@ fn enumerate<T: Topology>(graph: &T, p: f64, (u, v): (VertexId, VertexId)) -> Ex
             find(&mut parent, u.0 as usize),
             find(&mut parent, v.0 as usize),
         );
+        if ru == rv {
+            let locality = Router::<T, FrozenSample>::locality(&router);
+            let mut engine = ProbeEngine::with_locality(graph, &states, locality, u);
+            let outcome = router.route(&mut engine, u, v).expect("flood never errs");
+            assert!(outcome.is_success(), "the flood finds every connected pair");
+            let probes = outcome.probes as f64;
+            exact.probes += weight * probes;
+            exact.probes_sq += weight * probes * probes;
+        }
         exact.connected += weight * f64::from(u8::from(ru == rv));
         exact.giant += weight * giant;
         exact.giant_sq += weight * giant * giant;
@@ -123,13 +155,18 @@ fn check<T: Topology + Clone + Sync>(graph: T, pair: (VertexId, VertexId), seed:
         for exec in stores() {
             let label = format!("{name}, p = {p}, {exec:?}");
             let point = measure_giant_point_with_model(&model, &graph, p, TRIALS, seed, exec);
-            let rate = harness
-                .measure(&model, &FloodRouter::new(), u, v, TRIALS, exec)
-                .connectivity_rate();
+            let stats = harness.measure(&model, &FloodRouter::new(), u, v, TRIALS, exec);
+            let rate = stats.connectivity_rate();
+            let probes = stats.mean_probes();
             if p == 0.0 || p == 1.0 {
                 assert_eq!(point.giant_fraction, constant_mean(exact.giant), "{label}");
                 assert_eq!(point.connectivity, exact.spanning, "{label}");
                 assert_eq!(rate, exact.connected, "{label}");
+                if exact.connected == 1.0 {
+                    assert_eq!(probes, exact.conditioned_probes().0, "{label}");
+                } else {
+                    assert_eq!(stats.successes(), 0, "{label}");
+                }
             } else {
                 let trials = f64::from(TRIALS);
                 let giant_sd = ((exact.giant_sq - exact.giant * exact.giant) / trials).sqrt();
@@ -152,10 +189,24 @@ fn check<T: Topology + Clone + Sync>(graph: T, pair: (VertexId, VertexId), seed:
                     point.connectivity,
                     exact.spanning
                 );
+                // The flood always routes a connected pair, so every
+                // conditioned trial contributes one probe count.
+                assert_eq!(stats.successes(), stats.conditioned_trials(), "{label}");
+                let (mean, variance) = exact.conditioned_probes();
+                let probes_sd = (variance / f64::from(stats.successes())).sqrt();
+                assert!(
+                    (probes - mean).abs() <= Z * probes_sd,
+                    "{label}: E[probes | u ~ v] {probes} vs exact {mean} (sd {probes_sd})"
+                );
             }
             // Every store draws the same instances, so the estimates agree
             // to the bit, not merely within the bound.
-            let estimates = (point.giant_fraction, point.connectivity, rate);
+            let estimates = (
+                point.giant_fraction,
+                point.connectivity,
+                rate,
+                probes.to_bits(),
+            );
             assert_eq!(*previous.get_or_insert(estimates), estimates, "{label}");
         }
     }

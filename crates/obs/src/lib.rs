@@ -399,20 +399,9 @@ pub fn counter_value(name: &str) -> u64 {
     with_aggregate(|aggregate| aggregate.counters.get(name).copied().unwrap_or(0))
 }
 
-/// A sorted snapshot of all merged counters.
-pub fn counters_snapshot() -> Vec<(String, u64)> {
-    flush_thread();
-    with_aggregate(|aggregate| {
-        aggregate
-            .counters
-            .iter()
-            .map(|(name, n)| (name.to_string(), *n))
-            .collect()
-    })
-}
-
 /// The merged stats of span `name` (zero if never closed).
-pub fn span_stats(name: &str) -> SpanStats {
+#[cfg(test)]
+fn span_stats(name: &str) -> SpanStats {
     flush_thread();
     with_aggregate(|aggregate| aggregate.spans.get(name).copied().unwrap_or_default())
 }

@@ -1,7 +1,7 @@
 //! Breadth-first search over the open subgraph.
 //!
-//! Provides percolation ("chemical") distances, open shortest paths, open
-//! balls, and reachability — the ground truth against which the metered
+//! Provides percolation ("chemical") distances, open shortest paths, and
+//! reachability — the ground truth against which the metered
 //! routers in `faultnet-routing` are validated.
 
 use std::collections::{HashMap, VecDeque};
@@ -63,21 +63,6 @@ impl BfsTree {
         }
         path.reverse();
         Some(path)
-    }
-
-    /// The eccentricity of the source within its component (the largest
-    /// recorded distance).
-    pub fn eccentricity(&self) -> u64 {
-        self.dist.values().copied().max().unwrap_or(0)
-    }
-
-    /// The farthest vertex from the source (ties broken arbitrarily).
-    pub fn farthest_vertex(&self) -> VertexId {
-        self.dist
-            .iter()
-            .max_by_key(|(v, d)| (**d, v.0))
-            .map(|(v, _)| *v)
-            .unwrap_or(self.source)
     }
 }
 
@@ -227,26 +212,6 @@ pub fn connected<T: Topology + ?Sized, S: EdgeStates>(
     found
 }
 
-/// The set of vertices within open distance `radius` of `center` (an open
-/// ball).
-pub fn open_ball<T: Topology, S: EdgeStates>(
-    graph: &T,
-    states: &S,
-    center: VertexId,
-    radius: u64,
-) -> Vec<VertexId> {
-    bfs(
-        graph,
-        states,
-        center,
-        BfsOptions {
-            max_depth: Some(radius),
-            target: None,
-        },
-    )
-    .reached_vertices()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,7 +228,6 @@ mod tests {
         for v in cube.vertices() {
             assert_eq!(tree.distance_to(v), cube.distance(VertexId(0), v));
         }
-        assert_eq!(tree.eccentricity(), 6);
     }
 
     #[test]
@@ -272,7 +236,11 @@ mod tests {
         let sampler = PercolationConfig::new(0.6, 4).sampler();
         let gp = PercolatedGraph::new(&cube, &sampler);
         let tree = bfs(&cube, &sampler, VertexId(0), BfsOptions::default());
-        let target = tree.farthest_vertex();
+        let target = tree
+            .reached_vertices()
+            .into_iter()
+            .max_by_key(|v| (tree.distance_to(*v), v.0))
+            .unwrap();
         let path = tree.path_to(target).unwrap();
         assert!(gp.is_open_path(&path));
         assert_eq!(path.len() as u64, tree.distance_to(target).unwrap() + 1);
@@ -328,11 +296,16 @@ mod tests {
     fn max_depth_truncates_the_ball() {
         let cube = Hypercube::new(8);
         let sampler = PercolationConfig::new(1.0, 0).sampler();
-        let ball2 = open_ball(&cube, &sampler, VertexId(0), 2);
+        let ball = |radius| {
+            let options = BfsOptions {
+                max_depth: Some(radius),
+                target: None,
+            };
+            bfs(&cube, &sampler, VertexId(0), options).reached_vertices()
+        };
         // 1 + 8 + 28 vertices within Hamming distance 2.
-        assert_eq!(ball2.len(), 37);
-        let ball0 = open_ball(&cube, &sampler, VertexId(0), 0);
-        assert_eq!(ball0, vec![VertexId(0)]);
+        assert_eq!(ball(2).len(), 37);
+        assert_eq!(ball(0), vec![VertexId(0)]);
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //!   follows because failed branches have finite expected size.
 //!
 //! This module provides the exact recursions and closed forms the experiments
-//! compare against, plus a simulator for the total progeny distribution.
-
-use rand::Rng;
+//! compare against.
 
 /// The critical retention probability of the binary Galton–Watson process
 /// (mean offspring `2π = 1`).
@@ -52,22 +50,6 @@ pub fn survival_probability(pi: f64) -> f64 {
     (1.0 - e).clamp(0.0, 1.0)
 }
 
-/// Expected total progeny (including the root) of the *subcritical* binary
-/// process, `1 / (1 - 2π)`.
-///
-/// # Panics
-///
-/// Panics if `pi >= 1/2` (the expectation is infinite at and above
-/// criticality) or `pi` is outside `[0, 1]`.
-pub fn expected_subcritical_progeny(pi: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&pi), "probability must be in [0, 1]");
-    assert!(
-        pi < BINARY_CRITICAL_PROBABILITY,
-        "expected progeny diverges for π ≥ 1/2"
-    );
-    1.0 / (1.0 - 2.0 * pi)
-}
-
 /// Probability that the root of a depth-`depth` complete binary tree, with
 /// each edge open independently with probability `pi`, is connected to at
 /// least one depth-`depth` leaf.
@@ -100,36 +82,9 @@ pub fn double_tree_critical_probability() -> f64 {
     (0.5f64).sqrt()
 }
 
-/// Simulates the total progeny of a binary Galton–Watson tree with retention
-/// probability `pi`, truncated at `cap` individuals (the return value is
-/// `min(actual, cap)`); a return value of `cap` usually indicates survival.
-pub fn simulate_total_progeny<R: Rng + ?Sized>(pi: f64, cap: u64, rng: &mut R) -> u64 {
-    assert!((0.0..=1.0).contains(&pi), "probability must be in [0, 1]");
-    let mut total: u64 = 1;
-    let mut frontier: u64 = 1;
-    while frontier > 0 && total < cap {
-        let mut next = 0u64;
-        for _ in 0..frontier {
-            for _ in 0..2 {
-                if rng.gen_bool(pi) {
-                    next += 1;
-                }
-            }
-            if total + next >= cap {
-                return cap;
-            }
-        }
-        total += next;
-        frontier = next;
-    }
-    total.min(cap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn survival_is_zero_at_or_below_criticality() {
@@ -156,19 +111,6 @@ mod tests {
             let rhs = (1.0 - pi + pi * e).powi(2);
             assert!((e - rhs).abs() < 1e-10, "π = {pi}");
         }
-    }
-
-    #[test]
-    fn subcritical_progeny_formula() {
-        assert!((expected_subcritical_progeny(0.0) - 1.0).abs() < 1e-12);
-        assert!((expected_subcritical_progeny(0.25) - 2.0).abs() < 1e-12);
-        assert!((expected_subcritical_progeny(0.4) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "diverges")]
-    fn supercritical_progeny_rejected() {
-        let _ = expected_subcritical_progeny(0.6);
     }
 
     #[test]
@@ -199,32 +141,5 @@ mod tests {
             (double_tree_connection_probability(p, 17) - root_to_leaf_probability(p * p, 17)).abs()
                 < 1e-12
         );
-    }
-
-    #[test]
-    fn simulated_progeny_matches_expectation_subcritically() {
-        let pi = 0.3;
-        let mut rng = StdRng::seed_from_u64(7);
-        let trials = 4000;
-        let mean: f64 = (0..trials)
-            .map(|_| simulate_total_progeny(pi, 100_000, &mut rng) as f64)
-            .sum::<f64>()
-            / trials as f64;
-        let expected = expected_subcritical_progeny(pi);
-        assert!(
-            (mean - expected).abs() < 0.25,
-            "mean {mean} vs expected {expected}"
-        );
-    }
-
-    #[test]
-    fn simulated_progeny_hits_cap_when_supercritical() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let cap = 10_000;
-        let hits = (0..200)
-            .filter(|_| simulate_total_progeny(0.9, cap, &mut rng) == cap)
-            .count();
-        // survival probability at 0.9 is ≈ 0.988, so nearly every run hits the cap
-        assert!(hits > 150, "only {hits} runs reached the cap");
     }
 }

@@ -23,8 +23,8 @@
 //!   probabilities (the `p_c` of Theorem 4, the `1/n` threshold of
 //!   Ajtai–Komlós–Szemerédi on the hypercube), which the experiments
 //!   estimate by Monte-Carlo over the trial loop in `faultnet-faultmodel`.
-//! * [`bfs`], [`diameter`], [`chemical`] — percolation (chemical) distances,
-//!   used to verify the Antal–Pisztora input of Lemma 8.
+//! * [`bfs`], [`chemical`] — percolation (chemical) distances, used to
+//!   verify the Antal–Pisztora input of Lemma 8.
 //! * [`branching`] — Galton–Watson analytics used by the double-tree results
 //!   (Lemma 6, Theorem 9).
 //! * [`dynamic`] — fail/repair churn schedules ([`dynamic::ChurnProcess`])
@@ -39,7 +39,6 @@ pub mod bfs;
 pub mod branching;
 pub mod chemical;
 pub mod components;
-pub mod diameter;
 pub mod dynamic;
 pub mod sample;
 pub mod subgraph;
@@ -61,7 +60,6 @@ pub use trial_batch::{LaneView, TrialBatch};
 ///
 /// let cfg = PercolationConfig::new(0.75, 42);
 /// assert_eq!(cfg.p(), 0.75);
-/// assert_eq!(cfg.failure_probability(), 0.25);
 /// let other = cfg.with_seed(43);
 /// assert_ne!(cfg.seed(), other.seed());
 /// ```
@@ -88,11 +86,6 @@ impl PercolationConfig {
     /// The edge retention (survival) probability `p`.
     pub fn p(&self) -> f64 {
         self.p
-    }
-
-    /// The edge failure probability `q = 1 - p`.
-    pub fn failure_probability(&self) -> f64 {
-        1.0 - self.p
     }
 
     /// The seed identifying this percolation instance.
@@ -137,7 +130,6 @@ mod tests {
         let cfg = PercolationConfig::new(0.3, 7);
         assert_eq!(cfg.p(), 0.3);
         assert_eq!(cfg.seed(), 7);
-        assert!((cfg.failure_probability() - 0.7).abs() < 1e-12);
     }
 
     #[test]

@@ -198,11 +198,6 @@ impl<'g, T: Topology + ?Sized> BitsetSample<'g, T> {
         self.num_open
     }
 
-    /// Fraction of the topology's edges that are open (the empirical `p`).
-    pub fn open_fraction(&self) -> f64 {
-        self.num_open as f64 / self.graph.num_edges() as f64
-    }
-
     /// The raw bitset words, one bit per canonical edge-index slot:
     /// `edge_index_bound().div_ceil(64)` of them.
     ///
@@ -431,7 +426,6 @@ mod tests {
         assert!(!bitset.is_open(edge(0, 3)));
         assert!(bitset.is_open(edge(0, 1)));
         assert_eq!(bitset.num_open(), cube.num_edges());
-        assert_eq!(bitset.open_fraction(), 1.0);
         assert_eq!(bitset.graph().num_vertices(), 16);
     }
 

@@ -45,11 +45,6 @@ impl<'a, T: Topology + ?Sized, S: EdgeStates> PercolatedGraph<'a, T, S> {
         self.states
     }
 
-    /// Returns `true` if `{u, v}` is an edge of the topology *and* is open.
-    pub fn has_open_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.graph.has_edge(u, v) && self.states.is_open(EdgeId::new(u, v))
-    }
-
     /// The neighbors of `v` reachable through open edges.
     pub fn open_neighbors(&self, v: VertexId) -> Vec<VertexId> {
         self.graph
@@ -62,24 +57,6 @@ impl<'a, T: Topology + ?Sized, S: EdgeStates> PercolatedGraph<'a, T, S> {
     /// The open degree of `v`.
     pub fn open_degree(&self, v: VertexId) -> usize {
         self.open_neighbors(v).len()
-    }
-
-    /// All open edges incident to `v`.
-    pub fn open_incident_edges(&self, v: VertexId) -> Vec<EdgeId> {
-        self.graph
-            .incident_edges(v)
-            .into_iter()
-            .filter(|e| self.states.is_open(*e))
-            .collect()
-    }
-
-    /// Total number of open edges (sweeps every edge; linear in `|E|`).
-    pub fn count_open_edges(&self) -> u64 {
-        self.graph
-            .edges()
-            .into_iter()
-            .filter(|e| self.states.is_open(*e))
-            .count() as u64
     }
 
     /// Checks that `path` is a valid open path: consecutive vertices are
@@ -122,8 +99,6 @@ mod tests {
         let all = PercolationConfig::new(1.0, 1).sampler();
         let gp_none = PercolatedGraph::new(&mesh, &none);
         let gp_all = PercolatedGraph::new(&mesh, &all);
-        assert_eq!(gp_none.count_open_edges(), 0);
-        assert_eq!(gp_all.count_open_edges(), mesh.num_edges());
         for v in mesh.vertices() {
             assert_eq!(gp_none.open_degree(v), 0);
             assert_eq!(gp_all.open_degree(v), mesh.degree(v));
@@ -142,23 +117,6 @@ mod tests {
         assert!(!gp.is_open_path(&[VertexId(0), VertexId(2)])); // not adjacent
         assert!(!gp.is_open_path(&[]));
         assert!(gp.is_open_path(&[VertexId(3)])); // single vertex path is fine
-    }
-
-    #[test]
-    fn open_incident_edges_match_open_neighbors() {
-        let cube = Hypercube::new(6);
-        let sampler = PercolationConfig::new(0.4, 5).sampler();
-        let gp = PercolatedGraph::new(&cube, &sampler);
-        for v in cube.vertices().take(32) {
-            let from_edges: std::collections::HashSet<_> = gp
-                .open_incident_edges(v)
-                .into_iter()
-                .map(|e| e.other(v).unwrap())
-                .collect();
-            let from_neighbors: std::collections::HashSet<_> =
-                gp.open_neighbors(v).into_iter().collect();
-            assert_eq!(from_edges, from_neighbors);
-        }
     }
 
     #[test]

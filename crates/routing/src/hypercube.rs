@@ -156,11 +156,6 @@ impl GreedyHypercubeRouter {
             max_steps,
         }
     }
-
-    /// Whether detours are allowed.
-    pub fn allows_detours(&self) -> bool {
-        self.allow_detours
-    }
 }
 
 impl Default for GreedyHypercubeRouter {
@@ -402,8 +397,6 @@ mod tests {
         );
         assert!(Router::<Hypercube, EdgeSampler>::name(&seg).contains("segment"));
         assert!(Router::<Hypercube, EdgeSampler>::name(&greedy).contains("greedy"));
-        assert!(!greedy.allows_detours());
-        assert!(GreedyHypercubeRouter::with_detours(10).allows_detours());
         assert_eq!(seg.initial_depth(), 2);
     }
 }

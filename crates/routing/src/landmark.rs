@@ -229,29 +229,6 @@ impl<T: Topology, S: EdgeStates> Router<T, S> for LandmarkBfsRouter {
     }
 }
 
-/// Removes cycles from a walk, producing a simple path with the same
-/// endpoints that uses a subset of the walk's edges.
-///
-/// The landmark router's concatenated segments can in principle revisit a
-/// vertex (a later BFS may cut back through an earlier segment); callers that
-/// need simple paths can post-process with this helper.
-pub fn simplify_walk(walk: &[VertexId]) -> Vec<VertexId> {
-    let mut out: Vec<VertexId> = Vec::with_capacity(walk.len());
-    let mut position: HashMap<VertexId, usize> = HashMap::new();
-    for &v in walk {
-        if let Some(&idx) = position.get(&v) {
-            // Cut the loop: drop everything after the first occurrence.
-            for dropped in out.drain(idx + 1..) {
-                position.remove(&dropped);
-            }
-        } else {
-            position.insert(v, out.len());
-            out.push(v);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,23 +334,5 @@ mod tests {
         let esc = DepthPolicy::escalating(2, 8);
         assert_eq!(esc.initial_depth, 2);
         assert_eq!(esc.max_depth, Some(8));
-    }
-
-    #[test]
-    fn simplify_walk_removes_cycles() {
-        let walk = vec![
-            VertexId(0),
-            VertexId(1),
-            VertexId(2),
-            VertexId(1),
-            VertexId(3),
-        ];
-        assert_eq!(
-            simplify_walk(&walk),
-            vec![VertexId(0), VertexId(1), VertexId(3)]
-        );
-        let simple = vec![VertexId(4), VertexId(5)];
-        assert_eq!(simplify_walk(&simple), simple);
-        assert!(simplify_walk(&[]).is_empty());
     }
 }

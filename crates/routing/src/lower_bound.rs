@@ -11,17 +11,16 @@
 //!
 //! (with the numerator reduced to `t·η` when `u ∉ S`). This module provides
 //!
-//! * [`CutBound`] — the inequality as a value, with helpers to evaluate it
-//!   and to invert it ("how many probes are needed before the success
-//!   probability can reach δ?"),
+//! * [`CutBound`] — the inequality as a value, inverted ("how many probes
+//!   are needed before the success probability can reach δ?"),
 //! * Monte-Carlo estimators for the quantities entering the bound
 //!   (`η`, `Pr[(u ∼ v) ∈ S]`, `Pr[u ∼ v]`) on arbitrary graphs and cuts,
-//! * the closed-form path-counting bound for hypercube balls from the proof
-//!   of Theorem 3(i), evaluated in log-space so that doubly-exponentially
-//!   small quantities remain representable, and
+//! * the Theorem 3(i) probe requirement for hypercube balls, evaluated in
+//!   log-space so that doubly-exponentially large quantities remain
+//!   representable, and
 //! * the Theorem 7 bound for the double tree.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 use faultnet_percolation::sample::EdgeStates;
 use faultnet_percolation::PercolationConfig;
@@ -40,21 +39,6 @@ pub struct CutBound {
 }
 
 impl CutBound {
-    /// Evaluates the right-hand side of Lemma 5: an upper bound on
-    /// `Pr[X < t]` for every local router.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prob_connected` is not positive (the bound conditions on
-    /// `{u ∼ v}`).
-    pub fn probability_fewer_than(&self, t: u64) -> f64 {
-        assert!(
-            self.prob_connected > 0.0,
-            "the bound conditions on a positive connection probability"
-        );
-        ((t as f64 * self.eta + self.prob_connected_within_s) / self.prob_connected).min(1.0)
-    }
-
     /// The largest `t` for which the lemma still certifies
     /// `Pr[X < t] ≤ delta`, i.e. a probe count that every local router must
     /// reach with probability at least `1 − delta`. Returns 0 when even
@@ -181,33 +165,6 @@ pub fn estimate_cut_bound<T: Topology>(
     }
 }
 
-/// The closed-form hypercube bound of §3.1 (proof of Theorem 3(i)), in
-/// natural-log space.
-///
-/// For `p = n^{-α}` and a ball `S` of radius `l = n^β` around the target, the
-/// probability that the target connects *within the ball* to any fixed
-/// boundary vertex is at most
-///
-/// ```text
-/// η  =  (l·p)^l / (1 − n·l²·p²)   =   n^{(β−α)·n^β} / (1 − n^{2β+1−2α})
-/// ```
-///
-/// provided `n·l²·p² < 1` (equivalently `2β + 1 − 2α < 0`). This function
-/// returns `ln η`; `None` if the geometric series does not converge (the
-/// bound is vacuous there).
-pub fn hypercube_ball_log_eta(n: u32, alpha: f64, beta: f64) -> Option<f64> {
-    let n_f = n as f64;
-    let exponent = 2.0 * beta + 1.0 - 2.0 * alpha;
-    let ratio = n_f.powf(exponent);
-    if ratio >= 1.0 {
-        return None;
-    }
-    let l = n_f.powf(beta);
-    // ln((l·p)^l) = l · (ln l + ln p) = l · (β − α) · ln n
-    let log_numerator = l * (beta - alpha) * n_f.ln();
-    Some(log_numerator - (1.0 - ratio).ln())
-}
-
 /// Natural log of the Theorem 3(i) probe requirement: any local router on
 /// `H_{n,p}` with `p = n^{-α}` (`α > 1/2`) needs at least
 /// `n^{(α−β)·n^β} / n` probes w.h.p. (for any `0 < β < α − 1/2`). Returns
@@ -224,21 +181,9 @@ pub fn hypercube_required_log_probes(n: u32, alpha: f64, beta: f64) -> Option<f6
 /// The Theorem 7 bound for the double tree: with `1/√2 < p < 1`, any local
 /// router between the two roots of `TT_n` makes at least `a·p^{-n}` probes
 /// with probability at least `1 − a / c(p)`, where `c(p)` is the probability
-/// that the roots are connected. This function evaluates the failure bound
-/// `a / c(p)` (capped at 1) for a requested probe count `t = a·p^{-n}`.
-pub fn double_tree_failure_bound(p: f64, depth: u32, probes: u64) -> f64 {
-    assert!((0.0..1.0).contains(&p) && p > 0.0, "p must be in (0, 1)");
-    // a = t · p^n
-    let a = probes as f64 * p.powi(depth as i32);
-    let c = faultnet_percolation::branching::double_tree_connection_probability(p, depth);
-    if c <= 0.0 {
-        return 1.0;
-    }
-    (a / c).min(1.0)
-}
-
-/// Number of probes below which the Theorem 7 bound certifies failure
-/// probability at most `delta`: `t = delta · c(p) · p^{-n}`.
+/// that the roots are connected. Returns the number of probes below which
+/// the bound certifies failure probability at most `delta`:
+/// `t = delta · c(p) · p^{-n}`.
 pub fn double_tree_certified_probes(p: f64, depth: u32, delta: f64) -> u64 {
     assert!((0.0..1.0).contains(&p) && p > 0.0, "p must be in (0, 1)");
     assert!((0.0..=1.0).contains(&delta), "delta must be in [0, 1]");
@@ -256,36 +201,6 @@ pub fn hypercube_ball_cut(
     cube.ball(center, radius).into_iter().collect()
 }
 
-/// Empirical distribution of `Pr[(v ∼ e) ∈ S]` over the cut's inner
-/// endpoints, useful for reporting how tight the worst-case `η` is compared
-/// to typical boundary vertices.
-pub fn restricted_probability_profile<T: Topology>(
-    graph: &T,
-    p: f64,
-    s: &HashSet<VertexId>,
-    v: VertexId,
-    trials: u32,
-    base_seed: u64,
-) -> HashMap<VertexId, f64> {
-    let mut inner_endpoints: HashSet<VertexId> = HashSet::new();
-    for &x in s {
-        for y in graph.neighbors(x) {
-            if !s.contains(&y) {
-                inner_endpoints.insert(x);
-            }
-        }
-    }
-    inner_endpoints
-        .into_iter()
-        .map(|x| {
-            (
-                x,
-                restricted_connection_probability(graph, p, s, v, x, trials, base_seed),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,6 +208,38 @@ mod tests {
     use faultnet_topology::hypercube::Hypercube;
     use faultnet_topology::mesh::Mesh;
     use faultnet_topology::Topology;
+
+    impl CutBound {
+        /// The forward form of Lemma 5, an upper bound on `Pr[X < t]` for
+        /// every local router: the oracle that
+        /// [`CutBound::certified_probes`] inverts.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `prob_connected` is not positive (the bound conditions
+        /// on `{u ∼ v}`).
+        fn probability_fewer_than(&self, t: u64) -> f64 {
+            assert!(
+                self.prob_connected > 0.0,
+                "the bound conditions on a positive connection probability"
+            );
+            ((t as f64 * self.eta + self.prob_connected_within_s) / self.prob_connected).min(1.0)
+        }
+    }
+
+    /// The forward form of the Theorem 7 bound: the failure bound `a / c(p)`
+    /// (capped at 1) for `t = a·p^{-n}` probes, the oracle that
+    /// [`double_tree_certified_probes`] inverts.
+    fn double_tree_failure_bound(p: f64, depth: u32, probes: u64) -> f64 {
+        assert!((0.0..1.0).contains(&p) && p > 0.0, "p must be in (0, 1)");
+        // a = t · p^n
+        let a = probes as f64 * p.powi(depth as i32);
+        let c = faultnet_percolation::branching::double_tree_connection_probability(p, depth);
+        if c <= 0.0 {
+            return 1.0;
+        }
+        (a / c).min(1.0)
+    }
 
     #[test]
     fn cut_bound_evaluation_and_inversion() {
@@ -303,8 +250,11 @@ mod tests {
         };
         assert!(bound.probability_fewer_than(10) <= 0.002 + 1e-12);
         assert_eq!(bound.probability_fewer_than(10_000_000), 1.0);
-        // Inversion: with delta = 0.1 we can certify t = 0.1*0.5/1e-4 = 500.
+        // Inversion: with delta = 0.1 we can certify t = 0.1*0.5/1e-4 = 500,
+        // the largest t whose forward bound stays at delta.
         assert_eq!(bound.certified_probes(0.1), 500);
+        assert!(bound.probability_fewer_than(500) <= 0.1 + 1e-12);
+        assert!(bound.probability_fewer_than(501) > 0.1);
         // If eta is zero the bound certifies arbitrarily many probes.
         let zero_eta = CutBound {
             eta: 0.0,
@@ -416,18 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn hypercube_log_eta_behaviour() {
-        // α > 1/2, small β: the series converges and η is tiny.
-        let log_eta = hypercube_ball_log_eta(20, 0.8, 0.1).unwrap();
-        assert!(log_eta < 0.0);
-        // Larger n makes the bound (log η) more negative.
-        let log_eta_big = hypercube_ball_log_eta(40, 0.8, 0.1).unwrap();
-        assert!(log_eta_big < log_eta);
-        // α < 1/2: the series diverges, the bound is vacuous.
-        assert!(hypercube_ball_log_eta(20, 0.3, 0.2).is_none());
-    }
-
-    #[test]
     fn hypercube_required_probes_grow_with_n_and_alpha() {
         let a = hypercube_required_log_probes(16, 0.7, 0.1).unwrap();
         let b = hypercube_required_log_probes(32, 0.7, 0.1).unwrap();
@@ -447,23 +385,14 @@ mod tests {
         assert!(failure < 0.3, "failure bound {failure}");
         // Requesting far more probes than p^{-n} saturates the bound.
         assert_eq!(double_tree_failure_bound(0.8, 10, 1_000_000), 1.0);
-        // The certified probe count is increasing in depth.
+        // The certified probe count is increasing in depth, and it is the
+        // largest count whose forward bound stays at delta.
         let t1 = double_tree_certified_probes(0.8, 10, 0.2);
         let t2 = double_tree_certified_probes(0.8, 20, 0.2);
         assert!(t2 > t1);
-    }
-
-    #[test]
-    fn profile_contains_only_boundary_endpoints() {
-        let cube = Hypercube::new(6);
-        let v = VertexId(0);
-        let s = hypercube_ball_cut(&cube, v, 1);
-        let profile = restricted_probability_profile(&cube, 0.5, &s, v, 20, 1);
-        // With radius 1, every non-center vertex of the ball touches the cut.
-        assert_eq!(profile.len(), 6);
-        for (x, prob) in profile {
-            assert!(s.contains(&x));
-            assert!((0.0..=1.0).contains(&prob));
+        for (depth, t) in [(10, t1), (20, t2)] {
+            assert!(double_tree_failure_bound(0.8, depth, t) <= 0.2 + 1e-12);
+            assert!(double_tree_failure_bound(0.8, depth, t + 1) > 0.2);
         }
     }
 }

@@ -79,7 +79,8 @@ impl Path {
     }
 
     /// Returns `true` if no vertex repeats (the path is simple).
-    pub fn is_simple(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_simple(&self) -> bool {
         let mut seen = std::collections::HashSet::new();
         self.vertices.iter().all(|v| seen.insert(*v))
     }

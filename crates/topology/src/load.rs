@@ -75,15 +75,6 @@ impl LoadedGraph {
             .position(|l| l == label)
             .map(|i| VertexId(i as u64))
     }
-
-    /// Original label of a dense id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn label_of(&self, v: VertexId) -> &str {
-        &self.labels[v.0 as usize]
-    }
 }
 
 /// Parses an edge-list/CSV text into a dense [`ExplicitGraph`].
@@ -585,7 +576,7 @@ mod tests {
         // Member i is dense vertex i-1 (numeric relabeling of 1..34).
         assert_eq!(loaded.id_of("1"), Some(VertexId(0)));
         assert_eq!(loaded.id_of("34"), Some(VertexId(33)));
-        assert_eq!(loaded.label_of(VertexId(16)), "17");
+        assert_eq!(loaded.labels[16], "17");
         // The two hubs: instructor degree 16, president degree 17.
         assert_eq!(g.degree(VertexId(0)), 16);
         assert_eq!(g.degree(VertexId(33)), 17);

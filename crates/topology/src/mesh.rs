@@ -116,67 +116,6 @@ impl Mesh {
         let coords = vec![self.side / 2; self.dimension as usize];
         self.vertex_at(&coords)
     }
-
-    /// A vertex at L1 distance exactly `dist` from `from`, obtained by
-    /// walking axis by axis (staying inside the mesh, each axis moved in a
-    /// single direction). Returns `None` if `dist` exceeds the sum over the
-    /// axes of `max(c, side - 1 - c)` — the farthest the walk can reach.
-    pub fn offset_by(&self, from: VertexId, dist: u64) -> Option<VertexId> {
-        let mut coords = self.coordinates(from);
-        let mut remaining = dist;
-        for c in coords.iter_mut() {
-            if remaining == 0 {
-                break;
-            }
-            // Move along a single direction per axis so the contributions of
-            // the axes add up to exactly `dist`.
-            let up = self.side - 1 - *c;
-            let down = *c;
-            if up >= down {
-                let step = up.min(remaining);
-                *c += step;
-                remaining -= step;
-            } else {
-                let step = down.min(remaining);
-                *c -= step;
-                remaining -= step;
-            }
-        }
-        if remaining == 0 {
-            Some(self.vertex_at(&coords))
-        } else {
-            None
-        }
-    }
-
-    /// All vertices whose L∞ distance from `center` is at most `radius`
-    /// (a sub-cube clipped to the mesh boundary).
-    pub fn box_around(&self, center: VertexId, radius: u64) -> Vec<VertexId> {
-        let c = self.coordinates(center);
-        let mut ranges = Vec::with_capacity(self.dimension as usize);
-        for &x in &c {
-            let lo = x.saturating_sub(radius);
-            let hi = (x + radius).min(self.side - 1);
-            ranges.push((lo, hi));
-        }
-        let mut out = Vec::new();
-        let mut cursor: Vec<u64> = ranges.iter().map(|r| r.0).collect();
-        loop {
-            out.push(self.vertex_at(&cursor));
-            let mut axis = 0usize;
-            loop {
-                if axis == self.dimension as usize {
-                    return out;
-                }
-                if cursor[axis] < ranges[axis].1 {
-                    cursor[axis] += 1;
-                    break;
-                }
-                cursor[axis] = ranges[axis].0;
-                axis += 1;
-            }
-        }
-    }
 }
 
 impl Topology for Mesh {
@@ -347,36 +286,6 @@ mod tests {
         let mesh = Mesh::new(2, 10);
         let (u, v) = mesh.canonical_pair();
         assert_eq!(mesh.distance(u, v), Some(18));
-    }
-
-    #[test]
-    fn offset_by_reaches_requested_distance() {
-        let mesh = Mesh::new(2, 50);
-        let c = mesh.center();
-        for dist in [0u64, 1, 5, 24, 40] {
-            let target = mesh.offset_by(c, dist).unwrap();
-            assert_eq!(mesh.l1_distance(c, target), dist, "dist {dist}");
-        }
-    }
-
-    #[test]
-    fn offset_by_too_far_is_none() {
-        let mesh = Mesh::new(1, 4);
-        // From coordinate 1 the farthest reachable point in one direction is
-        // coordinate 3, at distance 2.
-        assert!(mesh.offset_by(VertexId(1), 3).is_none());
-        assert_eq!(mesh.offset_by(VertexId(1), 2), Some(VertexId(3)));
-    }
-
-    #[test]
-    fn box_around_clips_to_boundary() {
-        let grid = Mesh::new(2, 4);
-        let corner = grid.vertex_at(&[0, 0]);
-        let b = grid.box_around(corner, 1);
-        assert_eq!(b.len(), 4); // 2x2 box
-        let center = grid.vertex_at(&[2, 2]);
-        let b = grid.box_around(center, 1);
-        assert_eq!(b.len(), 9);
     }
 
     #[test]
