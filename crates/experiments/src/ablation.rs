@@ -33,7 +33,7 @@ use crate::TrialExec;
 
 /// Summary of one router in the hypercube router ablation.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RouterAblationRow {
+pub(crate) struct RouterAblationRow {
     /// Router name.
     pub router: String,
     /// Success rate under the `{u ∼ v}` conditioning.
@@ -46,7 +46,7 @@ pub struct RouterAblationRow {
 
 /// Runs the hypercube router ablation at one `(n, p)` point under `exec`
 /// (the result is identical for every value).
-pub fn hypercube_router_ablation(
+pub(crate) fn hypercube_router_ablation(
     dimension: u32,
     p: f64,
     trials: u32,
@@ -97,7 +97,7 @@ where
 
 /// Runs the mesh escalation ablation at one `(p, distance)` point; returns
 /// `(label, mean probes)` rows.
-pub fn mesh_escalation_ablation(
+pub(crate) fn mesh_escalation_ablation(
     p: f64,
     side: u64,
     trials: u32,
@@ -135,7 +135,7 @@ pub fn mesh_escalation_ablation(
 /// returns `(edges, open_edges, disagreements)` where a disagreement is any
 /// edge on which one of the materialised views differs from the lazy
 /// sampler.
-pub fn sampling_agreement(dimension: u32, p: f64, seed: u64) -> (u64, u64, u64) {
+pub(crate) fn sampling_agreement(dimension: u32, p: f64, seed: u64) -> (u64, u64, u64) {
     let cube = Hypercube::new(dimension);
     let sampler = PercolationConfig::new(p, seed).sampler();
     let frozen = FrozenSample::from_sampler(&cube, &sampler);

@@ -33,7 +33,7 @@ use crate::TrialExec;
 
 /// Connection-probability measurement at one `(depth, p)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConnectionPoint {
+pub(crate) struct ConnectionPoint {
     /// Tree depth.
     pub depth: u32,
     /// Retention probability.
@@ -48,7 +48,7 @@ pub struct ConnectionPoint {
 /// `p`, fanning the instances across `threads` workers. The per-instance
 /// connectivity checks are merged in trial order, so the measured frequency
 /// is identical for every thread count.
-pub fn measure_connection_point(
+pub(crate) fn measure_connection_point(
     depth: u32,
     p: f64,
     trials: u32,
@@ -72,7 +72,7 @@ pub fn measure_connection_point(
 
 /// Local-vs-oracle complexity measurement at one depth.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TreeComplexityPoint {
+pub(crate) struct TreeComplexityPoint {
     /// Tree depth.
     pub depth: u32,
     /// Retention probability.
@@ -90,7 +90,7 @@ pub struct TreeComplexityPoint {
 
 /// Measures the local and oracle routers on `TT_depth` at probability `p`
 /// under `exec` (the result is identical for every value).
-pub fn measure_tree_complexity(
+pub(crate) fn measure_tree_complexity(
     depth: u32,
     p: f64,
     trials: u32,

@@ -38,7 +38,7 @@ use crate::TrialExec;
 
 /// One measured mesh point under one model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModelMeshPoint {
+pub(crate) struct ModelMeshPoint {
     /// Fraction of instances in which the pair was connected.
     pub connectivity_rate: f64,
     /// Conditioned mean probes of the landmark router (`NaN` if no trial
@@ -50,7 +50,7 @@ pub struct ModelMeshPoint {
 /// `distance`) under `model` and `exec` — bit-identical numbers for every
 /// `exec` (non-lane-batchable models fall back to the scalar store after a
 /// one-shot stderr note).
-pub fn measure_mesh_point_with_model<M: FaultModel + Sync + ?Sized>(
+pub(crate) fn measure_mesh_point_with_model<M: FaultModel + Sync + ?Sized>(
     model: &M,
     p: f64,
     distance: u64,

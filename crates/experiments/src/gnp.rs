@@ -22,7 +22,7 @@ use crate::TrialExec;
 
 /// Probe counts at one graph size.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GnpPoint {
+pub(crate) struct GnpPoint {
     /// Number of vertices.
     pub n: u64,
     /// Mean degree `c` (so `p = c/n`).
@@ -37,7 +37,13 @@ pub struct GnpPoint {
 
 /// Measures both `G(n, p)` routers at one size under `exec` (the result is
 /// identical for every value).
-pub fn measure_gnp_point(n: u64, c: f64, trials: u32, base_seed: u64, exec: TrialExec) -> GnpPoint {
+pub(crate) fn measure_gnp_point(
+    n: u64,
+    c: f64,
+    trials: u32,
+    base_seed: u64,
+    exec: TrialExec,
+) -> GnpPoint {
     let graph = CompleteGraph::new(n);
     let p = (c / n as f64).min(1.0);
     let harness = ComplexityHarness::new(graph, PercolationConfig::new(p, base_seed));

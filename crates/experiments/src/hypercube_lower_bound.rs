@@ -34,7 +34,7 @@ use crate::TrialExec;
 /// A Monte-Carlo comparison point: the empirical cut bound and the measured
 /// flooding cost at the same `(n, α)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundComparison {
+pub(crate) struct BoundComparison {
     /// Hypercube dimension.
     pub dimension: u32,
     /// Fault exponent.
@@ -52,7 +52,7 @@ pub struct BoundComparison {
 /// Estimates the Lemma 5 bound with a radius-`radius` ball around the target
 /// and measures the flooding router on the same configuration under `exec`
 /// (the result is identical for every value).
-pub fn compare_bound_to_measurement(
+pub(crate) fn compare_bound_to_measurement(
     dimension: u32,
     alpha: f64,
     radius: u32,

@@ -24,7 +24,7 @@ use crate::TrialExec;
 
 /// One measured point: probes at a given distance on a given mesh.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeshPoint {
+pub(crate) struct MeshPoint {
     /// Mesh dimension `d`.
     pub dimension: u32,
     /// Retention probability.
@@ -66,7 +66,7 @@ pub(crate) fn mesh_and_pair(
 
 /// Measures one `(d, p, distance)` point under `exec` (the result is
 /// identical for every value).
-pub fn measure_mesh_point(
+pub(crate) fn measure_mesh_point(
     dimension: u32,
     p: f64,
     distance: u64,

@@ -37,7 +37,7 @@ type FamilyMeasurement = (Table, Vec<(f64, f64)>, Vec<(f64, f64)>);
 
 /// Measurements for one family at one retention probability.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FamilyPoint {
+pub(crate) struct FamilyPoint {
     /// Retention probability.
     pub p: f64,
     /// Mean giant-component fraction.
@@ -58,7 +58,7 @@ pub struct FamilyPoint {
 /// per-instance [`faultnet_percolation::BitsetSample`] always materialises
 /// as a true bitset (single-bit `is_open` reads) — the census loop never
 /// pays the `FrozenSample` hash path. A test below pins this down.
-pub fn measure_family_point<T: Topology + Clone + Sync>(
+pub(crate) fn measure_family_point<T: Topology + Clone + Sync>(
     graph: &T,
     p: f64,
     trials: u32,

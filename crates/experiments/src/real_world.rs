@@ -57,7 +57,7 @@ use crate::TrialExec;
 /// `1/(d−1)` and on the hypercube's degree-`n` sequence to `1/(n−1)` — the
 /// paper's §1.2 anchors. Returns `NaN` for degenerate sequences (`⟨k²⟩ ≤
 /// ⟨k⟩`, e.g. a perfect matching), which [`fmt_float`] renders as `-`.
-pub fn molloy_reed_threshold<T: Topology>(graph: &T) -> f64 {
+pub(crate) fn molloy_reed_threshold<T: Topology>(graph: &T) -> f64 {
     let n = graph.num_vertices() as f64;
     let (mut k1, mut k2) = (0.0, 0.0);
     for v in graph.vertices() {

@@ -7,8 +7,9 @@
 //! family allow and bit-identical to the scalar path where they don't —
 //! and the connectivity metric is one [`FaultModel::instance`] plus one
 //! [`ComponentCensus::compute`]. The server's value is around the
-//! measurement, not in it: census results are memoized in an LRU keyed on
-//! the canonical config hash, and measurement parallelism is
+//! measurement, not in it: census results are memoized, as compact
+//! [`CensusSummary`] values, in an LRU keyed on the canonical config
+//! hash, and measurement parallelism is
 //! pinned to one thread so the `--workers` knob (HTTP concurrency) can
 //! never touch a response byte.
 //!
@@ -32,9 +33,47 @@ use crate::cache::LruCache;
 use crate::json::Json;
 use crate::query::{Family, Metric, Query};
 
-/// The LRU of trial-0 component censuses, shared by reference across
+/// The LRU of trial-0 census summaries, shared by reference across
 /// workers.
-pub type CensusCache = Mutex<LruCache<u64, Arc<ComponentCensus>>>;
+pub type CensusCache = Mutex<LruCache<u64, Arc<CensusSummary>>>;
+
+/// What a connectivity answer reads off a trial-0 [`ComponentCensus`],
+/// kept in the census cache instead of the census itself: the totals, and
+/// per vertex its component's label as a `u32` (labels are vertex ids,
+/// below [`crate::query::MAX_VERTICES`]) so any pair's connectivity
+/// still answers from the cache. It takes half the census's memory or
+/// less: the census holds `u64` labels plus a map entry per component, so
+/// a sparse instance with many components costs it far more.
+pub struct CensusSummary {
+    num_vertices: u64,
+    num_components: u64,
+    largest_component_size: u64,
+    second_largest_component_size: u64,
+    giant_fraction: f64,
+    component_of: Vec<u32>,
+}
+
+impl CensusSummary {
+    fn new(census: &ComponentCensus) -> CensusSummary {
+        CensusSummary {
+            num_vertices: census.num_vertices(),
+            num_components: census.num_components() as u64,
+            largest_component_size: census.largest_component_size(),
+            second_largest_component_size: census.second_largest_component_size(),
+            giant_fraction: census.giant_fraction(),
+            component_of: (0..census.num_vertices())
+                .map(|v| {
+                    u32::try_from(census.component_of(VertexId(v)))
+                        .expect("labels are vertex ids below MAX_VERTICES")
+                })
+                .collect(),
+        }
+    }
+
+    fn same_component(&self, u: VertexId, v: VertexId) -> bool {
+        self.component_of[u.0 as usize] == self.component_of[v.0 as usize]
+    }
+}
 
 /// A query's graph, concretely built (the families are statically known,
 /// so the engine dispatches by enum instead of boxing `dyn Topology` —
@@ -48,8 +87,10 @@ pub enum Graph {
     Complete(CompleteGraph),
     /// `Family::DoubleTree`.
     DoubleTree(DoubleBinaryTree),
-    /// `Family::Explicit` — a loaded or generated substrate, materialised
-    /// once per request (the census LRU still dedupes the expensive part).
+    /// `Family::Explicit` — a loaded or generated substrate. Building one
+    /// costs up to seconds, so the service builds it only on a
+    /// response-cache miss and keeps it in a small LRU of built
+    /// substrates for the next miss on the same spec.
     Explicit(ExplicitGraph),
 }
 
@@ -67,8 +108,10 @@ macro_rules! with_graph {
 }
 
 impl Graph {
-    /// Builds the family named by the (already validated) query.
+    /// Builds the family named by the (already validated) query; counted
+    /// as `server.graph.builds`.
     pub fn build(query: &Query) -> Graph {
+        faultnet_obs::count("server.graph.builds", 1);
         match query.family {
             Family::Hypercube { n } => Graph::Hypercube(Hypercube::new(n)),
             Family::Mesh { dim, side } => Graph::Mesh(Mesh::new(dim, side)),
@@ -78,32 +121,14 @@ impl Graph {
         }
     }
 
-    /// Resolves the query's pair against this graph: explicit pairs are
-    /// range-checked, an absent pair becomes the family's canonical pair.
+    /// The query's resolved pair: [`Query::resolve_pair`], which needs no
+    /// graph (kept here for callers that hold one).
     ///
     /// # Errors
     ///
     /// Returns a message when an explicit vertex is out of range.
     pub fn resolve_pair(&self, query: &Query) -> Result<(VertexId, VertexId), String> {
-        with_graph!(self, g => {
-            match query.pair {
-                None => Ok(g.canonical_pair()),
-                Some((u, v)) => {
-                    let (u, v) = (VertexId(u), VertexId(v));
-                    for w in [u, v] {
-                        if !g.contains(w) {
-                            return Err(format!(
-                                "vertex {} is out of range for {} ({} vertices)",
-                                w.0,
-                                g.name(),
-                                g.num_vertices()
-                            ));
-                        }
-                    }
-                    Ok((u, v))
-                }
-            }
-        })
+        query.resolve_pair()
     }
 
     /// Computes the response body tree for `query` at the resolved `pair`.
@@ -201,7 +226,9 @@ fn connectivity_answer<T: Topology + Sync>(
             let model = query.fault_model.build();
             let config = PercolationConfig::new(query.p, query.seed);
             let instance = model.instance(graph, config, Some(pair));
-            let census = Arc::new(ComponentCensus::compute(graph, &instance));
+            let census = Arc::new(CensusSummary::new(&ComponentCensus::compute(
+                graph, &instance,
+            )));
             census_cache
                 .lock()
                 .expect("census cache poisoned")
@@ -211,20 +238,17 @@ fn connectivity_answer<T: Topology + Sync>(
     };
     Json::Obj(vec![
         ("query".to_string(), Json::Str(query.canonical_key(pair))),
-        ("num_vertices".into(), Json::UInt(census.num_vertices())),
-        (
-            "num_components".into(),
-            Json::UInt(census.num_components() as u64),
-        ),
+        ("num_vertices".into(), Json::UInt(census.num_vertices)),
+        ("num_components".into(), Json::UInt(census.num_components)),
         (
             "largest_component_size".into(),
-            Json::UInt(census.largest_component_size()),
+            Json::UInt(census.largest_component_size),
         ),
         (
             "second_largest_component_size".into(),
-            Json::UInt(census.second_largest_component_size()),
+            Json::UInt(census.second_largest_component_size),
         ),
-        ("giant_fraction".into(), Json::Num(census.giant_fraction())),
+        ("giant_fraction".into(), Json::Num(census.giant_fraction)),
         (
             "pair_connected".into(),
             Json::Bool(census.same_component(pair.0, pair.1)),
@@ -283,6 +307,47 @@ mod tests {
         assert_eq!(cold, warm, "cached census must render identical bytes");
         let (hits, _) = cache.lock().unwrap().stats();
         assert_eq!(hits, 1);
+    }
+
+    #[test]
+    fn census_summary_answers_like_the_census() {
+        for text in [
+            r#"{"family":"hypercube","n":8,"p":0.4,"seed":3}"#,
+            r#"{"family":"double-tree","n":6,"p":0.6,"fault_model":"bernoulli-nodes"}"#,
+            r#"{"family":"explicit:ba-64-2","p":0.3,"fault_model":"adversarial-budget"}"#,
+        ] {
+            let q = query(text);
+            with_graph!(&Graph::build(&q), g => {
+                let pair = q.resolve_pair().unwrap();
+                let instance = q.fault_model.build().instance(
+                    g,
+                    PercolationConfig::new(q.p, q.seed),
+                    Some(pair),
+                );
+                let census = ComponentCensus::compute(g, &instance);
+                let summary = CensusSummary::new(&census);
+                assert_eq!(summary.num_vertices, census.num_vertices());
+                assert_eq!(summary.num_components, census.num_components() as u64);
+                assert_eq!(summary.largest_component_size, census.largest_component_size());
+                assert_eq!(
+                    summary.second_largest_component_size,
+                    census.second_largest_component_size()
+                );
+                assert_eq!(
+                    summary.giant_fraction.to_bits(),
+                    census.giant_fraction().to_bits()
+                );
+                for u in g.vertices() {
+                    for v in [VertexId(0), pair.1, VertexId(u.0 / 2)] {
+                        assert_eq!(
+                            summary.same_component(u, v),
+                            census.same_component(u, v),
+                            "{text} {u} {v}"
+                        );
+                    }
+                }
+            });
+        }
     }
 
     #[test]
@@ -345,5 +410,67 @@ mod tests {
         let graph = Graph::build(&q);
         let err = graph.resolve_pair(&q).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
+    }
+
+    /// The pair resolution the service used before it went graph-free:
+    /// range checks and the canonical pair read off the built graph. Kept
+    /// as the oracle for [`Query::resolve_pair`].
+    fn resolve_on_built_graph(query: &Query) -> Result<(VertexId, VertexId), String> {
+        with_graph!(&Graph::build(query), g => match query.pair {
+            None => Ok(g.canonical_pair()),
+            Some((u, v)) => {
+                for w in [u, v] {
+                    if !g.contains(VertexId(w)) {
+                        return Err(format!(
+                            "vertex {w} is out of range for {} ({} vertices)",
+                            g.name(),
+                            g.num_vertices()
+                        ));
+                    }
+                }
+                Ok((VertexId(u), VertexId(v)))
+            }
+        })
+    }
+
+    #[test]
+    fn query_pair_resolution_matches_the_built_graph() {
+        for family in [
+            r#""family":"hypercube","n":6"#,
+            r#""family":"hypercube","n":1"#,
+            r#""family":"mesh","n":8,"dim":2"#,
+            r#""family":"mesh","n":3,"dim":3"#,
+            r#""family":"mesh","n":5,"dim":1"#,
+            r#""family":"complete","n":32"#,
+            r#""family":"complete","n":2"#,
+            r#""family":"double-tree","n":5"#,
+            r#""family":"double-tree","n":1"#,
+            r#""family":"explicit:karate""#,
+            r#""family":"explicit:ba-64-2""#,
+            r#""family":"explicit:ba-2-1""#,
+            r#""family":"explicit:fattree-4""#,
+            r#""family":"explicit:fattree-2""#,
+            r#""family":"explicit:regular-64-4""#,
+            r#""family":"explicit:regular-4-1""#,
+        ] {
+            let n = query(&format!("{{{family},\"p\":0.5}}"))
+                .family
+                .num_vertices();
+            for pair in [
+                String::new(),
+                ",\"pair\":[0,1]".to_string(),
+                format!(",\"pair\":[0,{}]", n - 1),
+                format!(",\"pair\":[{n},0]"),
+                format!(",\"pair\":[1,{}]", n + 7),
+                format!(",\"pair\":[{},{}]", u64::MAX, u64::MAX),
+            ] {
+                let q = query(&format!("{{{family},\"p\":0.5{pair}}}"));
+                assert_eq!(
+                    q.resolve_pair(),
+                    resolve_on_built_graph(&q),
+                    "{family}{pair}"
+                );
+            }
+        }
     }
 }

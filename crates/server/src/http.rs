@@ -4,9 +4,10 @@
 //! `Content-Length` body on the way in, `Connection: close` responses on
 //! the way out (one request per connection — closed-loop clients like
 //! `loadgen` reconnect, which keeps the server free of keep-alive timer
-//! state and makes "response ends at EOF" the framing on the client
-//! side). Hard limits bound untrusted input: 16 KiB of head, 64 KiB of
-//! body.
+//! state). Both directions frame a message by its `Content-Length`, so
+//! neither side waits for the other's close, and each message goes out
+//! as one buffer in one write, so the peer wakes once per message. Hard
+//! limits bound untrusted input: 16 KiB of head, 64 KiB of body.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -38,38 +39,53 @@ pub struct Request {
 /// I/O errors, malformed request heads, and over-limit heads/bodies all
 /// surface as `io::Error` (callers drop the connection either way).
 pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
-    let mut head = Vec::with_capacity(512);
-    let mut buf = [0u8; 1024];
-    let split = loop {
-        if let Some(pos) = find_head_end(&head) {
-            break pos;
-        }
-        if head.len() > MAX_HEAD {
-            return Err(bad_input("request head exceeds limit"));
-        }
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            if head.is_empty() {
-                return Ok(None);
-            }
-            return Err(bad_input("connection closed mid-head"));
-        }
-        head.extend_from_slice(&buf[..n]);
+    let Some((head, body)) = read_message(stream, MAX_BODY)? else {
+        return Ok(None);
     };
-    let (head_bytes, rest) = head.split_at(split);
-    let rest = &rest[4..]; // skip the \r\n\r\n
-    let head_text =
-        std::str::from_utf8(head_bytes).map_err(|_| bad_input("non-UTF-8 request head"))?;
-    let mut lines = head_text.split("\r\n");
-    let request_line = lines.next().ok_or_else(|| bad_input("empty request"))?;
+    let request_line = head.split("\r\n").next().unwrap_or_default();
     let mut parts = request_line.split(' ');
     let method = parts.next().unwrap_or("").to_string();
     let target = parts
         .next()
         .ok_or_else(|| bad_input("request line has no target"))?
         .to_string();
+    Ok(Some(Request {
+        method,
+        target,
+        body,
+    }))
+}
+
+/// Reads one message: its head, then exactly `Content-Length` bytes of
+/// body (none without the header), at most `max_body` of them. Returns the
+/// head text without its blank line, or `None` on a clean immediate EOF.
+fn read_message(
+    stream: &mut impl Read,
+    max_body: usize,
+) -> std::io::Result<Option<(String, Vec<u8>)>> {
+    let mut bytes = Vec::with_capacity(1024);
+    let mut buf = [0u8; 4096];
+    let split = loop {
+        if let Some(pos) = find_head_end(&bytes) {
+            break pos;
+        }
+        if bytes.len() > MAX_HEAD {
+            return Err(bad_input("message head exceeds limit"));
+        }
+        let n = stream.read(&mut buf)?;
+        if n == 0 {
+            if bytes.is_empty() {
+                return Ok(None);
+            }
+            return Err(bad_input("connection closed mid-head"));
+        }
+        bytes.extend_from_slice(&buf[..n]);
+    };
+    let head = std::str::from_utf8(&bytes[..split])
+        .map_err(|_| bad_input("non-UTF-8 message head"))?
+        .to_string();
     let mut content_length = 0usize;
-    for line in lines {
+    for line in head.split("\r\n").skip(1) {
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
                 content_length = value
@@ -79,10 +95,10 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> 
             }
         }
     }
-    if content_length > MAX_BODY {
-        return Err(bad_input("request body exceeds limit"));
+    if content_length > max_body {
+        return Err(bad_input("message body exceeds limit"));
     }
-    let mut body = rest.to_vec();
+    let mut body = bytes.split_off(split + 4);
     while body.len() < content_length {
         let n = stream.read(&mut buf)?;
         if n == 0 {
@@ -91,20 +107,17 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> 
         body.extend_from_slice(&buf[..n]);
     }
     body.truncate(content_length);
-    Ok(Some(Request {
-        method,
-        target,
-        body,
-    }))
+    Ok(Some((head, body)))
 }
 
-/// Writes a complete `Connection: close` response.
+/// Writes a complete `Connection: close` response: head and body go out
+/// as one buffer in one `write_all`, so the peer wakes once per message.
 ///
 /// # Errors
 ///
 /// Propagates stream write errors.
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &[u8],
@@ -120,15 +133,23 @@ pub fn write_response(
         "HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    stream.write_all(&message(head, body))?;
     stream.flush()
 }
 
+/// `head` followed by `body` in one buffer.
+fn message(head: String, body: &[u8]) -> Vec<u8> {
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    message
+}
+
 /// One client round-trip: connects to `addr`, sends `method target` with
-/// `body`, reads to EOF, returns `(status, response_body)`. This is the
-/// whole client side of the crate — `loadgen`, the byte-identity tests,
-/// and the throughput bench all speak through it.
+/// `body` in one write, reads the response head and its `Content-Length`
+/// body, returns `(status, response_body)`. It does not wait for the
+/// server's close. This is the whole client side of the crate —
+/// `loadgen`, the byte-identity tests, and the throughput bench all speak
+/// through it.
 ///
 /// # Errors
 ///
@@ -144,20 +165,16 @@ pub fn roundtrip(
         "{method} {target} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    stream.write_all(&message(head, body))?;
     stream.flush()?;
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response)?;
-    let split = find_head_end(&response).ok_or_else(|| bad_input("no response head"))?;
-    let head_text = std::str::from_utf8(&response[..split])
-        .map_err(|_| bad_input("non-UTF-8 response head"))?;
-    let status: u16 = head_text
+    let (head, body) =
+        read_message(&mut stream, usize::MAX)?.ok_or_else(|| bad_input("no response head"))?;
+    let status: u16 = head
         .split(' ')
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| bad_input("no status code"))?;
-    Ok((status, response[split + 4..].to_vec()))
+    Ok((status, body))
 }
 
 fn find_head_end(bytes: &[u8]) -> Option<usize> {
@@ -191,6 +208,65 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(body, b"{\"ok\":true}");
         server.join().unwrap();
+    }
+
+    /// The client frames the response by its `Content-Length`, so it
+    /// returns while the server still holds the connection open.
+    #[test]
+    fn roundtrip_returns_before_the_server_closes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (done, closed) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_request(&mut stream).unwrap().unwrap();
+            write_response(&mut stream, 200, "text/plain", b"held open\n").unwrap();
+            // Keep the connection until the client has its answer (or
+            // long enough that a client reading to EOF fails the test).
+            let _ = closed.recv_timeout(std::time::Duration::from_secs(20));
+        });
+        let started = std::time::Instant::now();
+        let (status, body) = roundtrip(&addr, "GET", "/healthz", b"").unwrap();
+        assert!(started.elapsed() < std::time::Duration::from_secs(10));
+        assert_eq!((status, body.as_slice()), (200, &b"held open\n"[..]));
+        done.send(()).unwrap();
+        server.join().unwrap();
+    }
+
+    /// A writer that accepts every byte and counts its `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        for (status, body) in [(200, &b"{\"ok\":true}"[..]), (404, b""), (400, b"bad\n")] {
+            let mut writer = CountingWriter::default();
+            write_response(&mut writer, status, "application/json", body).unwrap();
+            assert_eq!(writer.writes, 1, "status {status}");
+            let split = find_head_end(&writer.bytes).unwrap();
+            assert_eq!(&writer.bytes[split + 4..], body);
+            let head = std::str::from_utf8(&writer.bytes[..split]).unwrap();
+            assert!(head.starts_with(&format!("HTTP/1.1 {status} ")), "{head}");
+            assert!(
+                head.contains(&format!("content-length: {}", body.len())),
+                "{head}"
+            );
+        }
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! function of the canonical query (the workspace determinism contract),
 //! which is what makes the serving layers sound:
 //!
-//! * [`cache`] — an LRU of response bodies keyed on the canonical query,
-//!   plus an LRU of materialised fault instances with memoized component
-//!   censuses keyed on the canonical config hash;
+//! * [`cache`] — an LRU of response bodies keyed on the canonical query
+//!   (resolved without building a graph), an LRU of component censuses
+//!   keyed on the canonical config hash, and a small LRU of built
+//!   `explicit:*` substrates for the misses;
 //! * [`coalesce`] — concurrent identical queries run **one** measurement
 //!   (the leader computes, every waiter gets the same bytes);
 //! * [`metrics`] — request counts, cache hit rate, and per-family log₂

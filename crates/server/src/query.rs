@@ -9,10 +9,18 @@
 //! one fixed field order, so two requests that differ only in JSON
 //! whitespace, field order, or elided defaults map to the same cache slot
 //! and the same coalesced flight.
+//!
+//! Resolving the pair needs no graph: every family answers its vertex
+//! count, canonical pair and name in closed form ([`Query::resolve_pair`]),
+//! so the service finds a cache hit before it builds anything.
 
 use faultnet_faultmodel::FaultModelSpec;
+use faultnet_topology::complete::CompleteGraph;
+use faultnet_topology::double_tree::DoubleBinaryTree;
+use faultnet_topology::hypercube::Hypercube;
 use faultnet_topology::load::SubstrateSpec;
-use faultnet_topology::VertexId;
+use faultnet_topology::mesh::Mesh;
+use faultnet_topology::{Topology, VertexId};
 
 use crate::json::Json;
 
@@ -83,6 +91,51 @@ impl Family {
     }
 }
 
+/// Evaluates `$body` with `$g` bound to the family's topology, for the
+/// families whose topology stores only its parameters (constructing one is
+/// free), or `$explicit` with `$spec` bound to the substrate spec, which
+/// answers the same questions in closed form without building the graph.
+macro_rules! with_closed_form {
+    ($family:expr, $g:ident => $body:expr, $spec:ident => $explicit:expr) => {
+        match *$family {
+            Family::Hypercube { n } => {
+                let $g = Hypercube::new(n);
+                $body
+            }
+            Family::Mesh { dim, side } => {
+                let $g = Mesh::new(dim, side);
+                $body
+            }
+            Family::Complete { order } => {
+                let $g = CompleteGraph::new(order);
+                $body
+            }
+            Family::DoubleTree { depth } => {
+                let $g = DoubleBinaryTree::new(depth);
+                $body
+            }
+            Family::Explicit($spec) => $explicit,
+        }
+    };
+}
+
+impl Family {
+    /// Vertex count of the family's graph, without building it.
+    pub(crate) fn num_vertices(&self) -> u64 {
+        with_closed_form!(self, g => g.num_vertices(), spec => spec.num_vertices())
+    }
+
+    /// The graph's [`Topology::canonical_pair`], without building it.
+    pub(crate) fn canonical_pair(&self) -> (VertexId, VertexId) {
+        with_closed_form!(self, g => g.canonical_pair(), spec => spec.canonical_pair())
+    }
+
+    /// The graph's [`Topology::name`], without building it.
+    pub(crate) fn graph_name(&self) -> String {
+        with_closed_form!(self, g => g.name(), spec => spec.graph_name())
+    }
+}
+
 /// What the query asks to be measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
@@ -104,8 +157,8 @@ impl Metric {
     }
 }
 
-/// A validated query, defaults resolved (pair resolution needs the built
-/// topology and happens in the engine).
+/// A validated query, defaults resolved (the pair stays as sent;
+/// [`Query::resolve_pair`] makes it explicit).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Graph family and size.
@@ -275,6 +328,28 @@ impl Query {
     pub fn from_body(body: &[u8]) -> Result<Query, String> {
         let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
         Query::from_json(&Json::parse(text)?)
+    }
+
+    /// Resolves the query's pair from the query alone: explicit pairs are
+    /// range-checked, an absent pair becomes the family's canonical pair.
+    /// This is the one pair resolution behind both the cache-hit path and
+    /// the measurement.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when an explicit vertex is out of range.
+    pub fn resolve_pair(&self) -> Result<(VertexId, VertexId), String> {
+        let Some((u, v)) = self.pair else {
+            return Ok(self.family.canonical_pair());
+        };
+        let n = self.family.num_vertices();
+        if let Some(w) = [u, v].into_iter().find(|&w| w >= n) {
+            return Err(format!(
+                "vertex {w} is out of range for {} ({n} vertices)",
+                self.family.graph_name()
+            ));
+        }
+        Ok((VertexId(u), VertexId(v)))
     }
 
     /// The canonical resolved form of this query with `pair` made explicit —

@@ -27,7 +27,8 @@ pub struct ServerConfig {
     /// never change a response byte (the determinism tests run the same
     /// queries under several worker counts and `cmp` the bodies).
     pub workers: usize,
-    /// Capacity of each of the two LRU caches (responses; censuses).
+    /// Capacity of the response and census LRU caches (the graph cache's
+    /// is the constant [`crate::service::GRAPH_CACHE_CAPACITY`]).
     pub cache_capacity: usize,
     /// Whether to write one structured log line per request to stderr.
     pub log: bool,

@@ -5,16 +5,23 @@
 //! Layering for `POST /query`, outermost first:
 //!
 //! 1. **Response cache** — an LRU from the canonical query key to the
-//!    final body bytes. A warm hit costs two mutex hops and a parse; it
-//!    returns the *same* `Arc<Vec<u8>>` the cold path produced, so
-//!    warm-vs-cold byte-identity holds by construction.
+//!    final body bytes. The key comes from the query alone (the pair
+//!    resolves in closed form, [`Query::resolve_pair`]), so a warm hit
+//!    costs a parse, the key render and one mutex hop, and builds no
+//!    graph; it returns the *same* `Arc<Vec<u8>>` the cold path produced,
+//!    so warm-vs-cold byte-identity holds by construction.
 //! 2. **Coalescer** — concurrent misses on the same key run one
 //!    measurement; see [`crate::coalesce`] for the correctness argument.
-//! 3. **Engine** — the cold path; memoizes component censuses in its
-//!    own LRU keyed on the canonical config hash (see [`crate::engine`]).
+//! 3. **Graph cache** — a miss on an `explicit:*` substrate takes its
+//!    graph from an LRU of [`GRAPH_CACHE_CAPACITY`] built substrates keyed
+//!    by spec; the other families build theirs for free.
+//! 4. **Engine** — the cold path; memoizes census summaries in its own
+//!    LRU keyed on the canonical config hash (see [`crate::engine`]).
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+use faultnet_topology::load::SubstrateSpec;
 
 use crate::cache::LruCache;
 use crate::coalesce::{Coalescer, Role};
@@ -22,7 +29,12 @@ use crate::engine::{CensusCache, Graph};
 use crate::http::Request;
 use crate::json::Json;
 use crate::metrics::{CacheStatus, Metrics};
-use crate::query::{fnv1a, Query};
+use crate::query::{fnv1a, Family, Query};
+
+/// Built `explicit:*` substrates the service keeps. The largest spec the
+/// parser accepts (`ba-65536-8`, `regular-65536-16`: 2¹⁹ edges) builds to
+/// about 10 MB, so the cache holds at most about 40 MB.
+pub const GRAPH_CACHE_CAPACITY: usize = 4;
 
 /// A response ready for the wire, plus the labels the log line and
 /// `/metrics` want.
@@ -46,17 +58,20 @@ pub struct Response {
 pub struct QueryService {
     response_cache: Mutex<LruCache<String, Arc<Vec<u8>>>>,
     census_cache: CensusCache,
+    graph_cache: Mutex<LruCache<SubstrateSpec, Arc<Graph>>>,
     coalescer: Coalescer<(Arc<Vec<u8>>, CacheStatus)>,
     metrics: Metrics,
 }
 
 impl QueryService {
-    /// Creates a service whose two caches each hold `cache_capacity`
-    /// entries.
+    /// Creates a service whose response and census caches each hold
+    /// `cache_capacity` entries (the graph cache holds
+    /// [`GRAPH_CACHE_CAPACITY`]).
     pub fn new(cache_capacity: usize) -> Self {
         QueryService {
             response_cache: Mutex::new(LruCache::new(cache_capacity)),
             census_cache: Mutex::new(LruCache::new(cache_capacity)),
+            graph_cache: Mutex::new(LruCache::new(GRAPH_CACHE_CAPACITY)),
             coalescer: Coalescer::new(),
             metrics: Metrics::new(),
         }
@@ -103,8 +118,7 @@ impl QueryService {
             Ok(query) => query,
             Err(message) => return error_response(400, &message),
         };
-        let graph = Graph::build(&query);
-        let pair = match graph.resolve_pair(&query) {
+        let pair = match query.resolve_pair() {
             Ok(pair) => pair,
             Err(message) => return error_response(400, &message),
         };
@@ -136,6 +150,7 @@ impl QueryService {
                 return (body, CacheStatus::Hit);
             }
             drop(cache);
+            let graph = self.graph(&query);
             let mut rendered = graph.answer(&query, pair, &self.census_cache).render();
             rendered.push('\n');
             let body = Arc::new(rendered.into_bytes());
@@ -157,6 +172,33 @@ impl QueryService {
             cache: Some(cache),
             key_hash,
         }
+    }
+
+    /// The query's graph: an `explicit:*` substrate from the graph cache
+    /// (built on a miss, outside the lock, so a hit never waits behind a
+    /// build), any other family built afresh. Two concurrent first misses
+    /// on one spec may both build it; the graphs are equal, and the later
+    /// insert replaces the earlier.
+    fn graph(&self, query: &Query) -> Arc<Graph> {
+        let Family::Explicit(spec) = query.family else {
+            return Arc::new(Graph::build(query));
+        };
+        let cached = self
+            .graph_cache
+            .lock()
+            .expect("graph cache poisoned")
+            .get(&spec);
+        if let Some(graph) = cached {
+            faultnet_obs::count("server.graph_cache.hits", 1);
+            return graph;
+        }
+        faultnet_obs::count("server.graph_cache.misses", 1);
+        let graph = Arc::new(Graph::build(query));
+        self.graph_cache
+            .lock()
+            .expect("graph cache poisoned")
+            .insert(spec, Arc::clone(&graph));
+        graph
     }
 
     /// The service metrics (rendered by `GET /metrics`; the tests and

@@ -33,7 +33,8 @@
 //! [`emit_edge_list`] round-trips: `parse(emit(g)) == g`, with isolated
 //! vertices preserved through the self-loop-registers-a-vertex rule.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::explicit::ExplicitGraph;
 use crate::{splitmix64, Topology, VertexId};
@@ -215,7 +216,7 @@ pub fn emit_edge_list(graph: &ExplicitGraph) -> String {
 pub fn karate_club() -> LoadedGraph {
     let mut loaded = parse_edge_list(include_str!("../data/karate.edges"))
         .expect("bundled karate.edges must parse");
-    loaded.graph.set_label("karate(n=34)");
+    loaded.graph.set_label(SubstrateSpec::Karate.graph_name());
     loaded
 }
 
@@ -262,7 +263,7 @@ pub fn barabasi_albert(n: u64, m: u64, seed: u64) -> ExplicitGraph {
         }
     }
     let mut graph = ExplicitGraph::from_edges(n, edges);
-    graph.set_label(format!("ba(n={n},m={m})"));
+    graph.set_label(SubstrateSpec::BarabasiAlbert { n, m }.graph_name());
     graph
 }
 
@@ -310,7 +311,7 @@ pub fn fat_tree(k: u64) -> ExplicitGraph {
         }
     }
     let mut graph = ExplicitGraph::from_edges(n, edges);
-    graph.set_label(format!("fattree(k={k})"));
+    graph.set_label(SubstrateSpec::FatTree { k }.graph_name());
     graph
 }
 
@@ -349,7 +350,7 @@ pub fn random_regular(n: u64, d: u64, seed: u64) -> ExplicitGraph {
         }
     }
     let canonical = |a: u64, b: u64| (a.min(b), a.max(b));
-    let mut edge_set: std::collections::HashSet<(u64, u64)> =
+    let mut edge_set: HashSet<(u64, u64), BuildHasherDefault<EdgeHasher>> =
         edges.iter().map(|&(a, b)| canonical(a, b)).collect();
     let mut list: Vec<(u64, u64)> = edge_set.iter().copied().collect();
     list.sort_unstable();
@@ -384,8 +385,31 @@ pub fn random_regular(n: u64, d: u64, seed: u64) -> ExplicitGraph {
         list[j] = new2;
     }
     let mut graph = ExplicitGraph::from_edges(n, list);
-    graph.set_label(format!("regular(n={n},d={d})"));
+    graph.set_label(SubstrateSpec::Regular { n, d }.graph_name());
     graph
+}
+
+/// A fixed multiply-rotate hasher (the FxHash step) for the switch chain's
+/// edge set. The set only answers membership, and the edge list is sorted
+/// before the chain runs, so the hash function reaches no output; a fixed
+/// one just skips SipHash's per-lookup cost and its random keys.
+#[derive(Default)]
+struct EdgeHasher(u64);
+
+impl Hasher for EdgeHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
 }
 
 /// A named substrate: the parseable registry behind `explicit:<name>`
@@ -554,6 +578,23 @@ impl SubstrateSpec {
             SubstrateSpec::Regular { n, .. } => n,
         }
     }
+
+    /// The built graph's [`Topology::canonical_pair`], without building
+    /// it: an explicit graph keeps the default `(0, n − 1)`.
+    pub fn canonical_pair(&self) -> (VertexId, VertexId) {
+        (VertexId(0), VertexId(self.num_vertices() - 1))
+    }
+
+    /// The built graph's [`Topology::name`] (`ba(n=65536,m=8)`), without
+    /// building it; the generators label their graphs with it.
+    pub fn graph_name(&self) -> String {
+        match *self {
+            SubstrateSpec::Karate => format!("karate(n={})", self.num_vertices()),
+            SubstrateSpec::BarabasiAlbert { n, m } => format!("ba(n={n},m={m})"),
+            SubstrateSpec::FatTree { k } => format!("fattree(k={k})"),
+            SubstrateSpec::Regular { n, d } => format!("regular(n={n},d={d})"),
+        }
+    }
 }
 
 impl std::fmt::Display for SubstrateSpec {
@@ -716,10 +757,32 @@ mod tests {
         }
     }
 
+    /// The query server resolves pairs and names from these closed forms
+    /// and builds a graph only on a cache miss, so each one must equal what
+    /// the built graph reports: the E13 specs, the sizes the server's
+    /// benchmark mix asks for, and the smallest spec of every family.
     #[test]
     fn substrate_num_vertices_predicts_the_build() {
-        for spec in SubstrateSpec::E13_QUICK {
-            assert_eq!(spec.build().num_vertices(), spec.num_vertices());
+        let named = [
+            "ba-65536-8",
+            "regular-12288-8",
+            "regular-4-1",
+            "regular-2-1",
+            "regular-5-2",
+            "ba-2-1",
+            "ba-9-8",
+            "fattree-2",
+        ]
+        .map(|name| SubstrateSpec::parse(name).unwrap());
+        for spec in SubstrateSpec::E13_FULL
+            .iter()
+            .chain(&SubstrateSpec::E13_QUICK)
+            .chain(&named)
+        {
+            let graph = spec.build();
+            assert_eq!(spec.num_vertices(), graph.num_vertices(), "{spec}");
+            assert_eq!(spec.canonical_pair(), graph.canonical_pair(), "{spec}");
+            assert_eq!(spec.graph_name(), graph.name(), "{spec}");
         }
     }
 }
