@@ -6,6 +6,17 @@
 //! the giant fraction, the component of a vertex, and the component size
 //! distribution.
 //!
+//! # Dense state
+//!
+//! The sequential census is one [`Topology::for_each_edge`] walk that reads
+//! each edge at the slot the walk yields ([`EdgeStates::is_open_at`]) and
+//! unions open edges into a [`UnionFind`] of `u32` parent and size arrays.
+//! The result is dense too: a `u32` label per vertex, a `u64` size per
+//! label (indexed by the label, a vertex id) and a component count. So a
+//! census makes the same four allocations however many components the
+//! instance has, and hashes nothing; labels are `u32`, so a census covers
+//! at most `u32::MAX` vertices.
+//!
 //! # Canonical labels and the parallel engine
 //!
 //! Component labels are *canonical*: the label of a component is the
@@ -19,7 +30,6 @@
 //! every thread count. The zoo-wide property suite in
 //! `tests/census_equivalence.rs` asserts this accessor for accessor.
 
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 
 use faultnet_topology::{EdgeId, Topology, VertexId};
@@ -27,23 +37,39 @@ use faultnet_topology::{EdgeId, Topology, VertexId};
 use crate::sample::EdgeStates;
 use crate::union_find::{AtomicUnionFind, UnionFind};
 
+/// Marks a vertex whose label the canonicalising pass has not written yet.
+const UNLABELED: u32 = u32::MAX;
+
 /// The result of a full component census over one percolation instance.
+///
+/// All state is dense and indexed by vertex id: a `u32` label per vertex
+/// and a size per label, so a census costs a fixed handful of allocations
+/// and no hashing, whatever the number of components.
 #[derive(Debug, Clone)]
 pub struct ComponentCensus {
     /// Canonical component label (smallest member vertex id) per vertex,
     /// indexed by vertex id.
-    component_of: Vec<u64>,
-    /// Sizes keyed by canonical component label.
-    sizes: HashMap<u64, u64>,
-    num_vertices: u64,
+    component_of: Vec<u32>,
+    /// Component sizes indexed by canonical label; 0 at every vertex that
+    /// is not a label.
+    sizes: Vec<u64>,
+    num_components: usize,
+    largest: u64,
 }
 
 impl ComponentCensus {
     /// Computes the components of `graph` under the edge states `states`.
     ///
-    /// Runs in `O(|V| + |E| α(|V|))` time and `O(|V|)` memory, so it is meant
-    /// for graphs whose vertex set fits comfortably in memory (everything the
+    /// One [`Topology::for_each_edge`] walk reads each edge's state at the
+    /// slot the walk yields ([`EdgeStates::is_open_at`], one word read on a
+    /// dense store) and unions the open ones. Runs in
+    /// `O(|V| + |E| α(|V|))` time and `O(|V|)` memory, so it is meant for
+    /// graphs whose vertex set fits comfortably in memory (everything the
     /// experiments use; the largest hypercubes have ~10⁶ vertices).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has more than `u32::MAX` vertices.
     pub fn compute<T: Topology + ?Sized, S: EdgeStates>(graph: &T, states: &S) -> Self {
         let _span = faultnet_obs::span("census.compute");
         let n = graph.num_vertices();
@@ -52,9 +78,9 @@ impl ComponentCensus {
         // not one per edge, so the disabled cost is a single relaxed load.
         let mut edges_scanned = 0u64;
         let mut unions = 0u64;
-        graph.for_each_edge(&mut |e| {
+        graph.for_each_edge(&mut |e, slot| {
             edges_scanned += 1;
-            if states.is_open(e) {
+            if states.is_open_at(e, slot) {
                 unions += 1;
                 uf.union(e.lo().0 as usize, e.hi().0 as usize);
             }
@@ -63,26 +89,23 @@ impl ComponentCensus {
         faultnet_obs::count("census.unions", unions);
         // Canonicalise: the first vertex (in ascending id order) seen with a
         // given union-find root is the smallest member of that component, so
-        // it becomes the component's label. Roots are dense indices `< n`,
-        // so the root → label table is a Vec (sentinel = unseen), keeping
-        // the per-vertex fold hash-free on this hot path.
-        let mut canonical: Vec<u64> = vec![u64::MAX; n as usize];
-        let mut component_of = Vec::with_capacity(n as usize);
-        let mut sizes: HashMap<u64, u64> = HashMap::new();
-        for v in 0..n {
-            let root = uf.find(v as usize);
-            if canonical[root] == u64::MAX {
-                canonical[root] = v;
+        // it becomes the component's label. The label is parked at the
+        // root's own entry: a root above `v` is visited later and finds its
+        // label already there, and a root below `v` was labelled when it was
+        // visited. So `component_of` doubles as the root → label table.
+        let mut component_of = vec![UNLABELED; n as usize];
+        let mut sizes = vec![0u64; n as usize];
+        let mut num_components = 0;
+        for v in 0..n as usize {
+            let root = uf.find(v);
+            if component_of[root] == UNLABELED {
+                component_of[root] = v as u32;
+                sizes[v] = uf.set_size(root) as u64;
+                num_components += 1;
             }
-            let label = canonical[root];
-            component_of.push(label);
-            *sizes.entry(label).or_insert(0) += 1;
+            component_of[v] = component_of[root];
         }
-        ComponentCensus {
-            component_of,
-            sizes,
-            num_vertices: n,
-        }
+        Self::from_dense(component_of, sizes, num_components)
     }
 
     /// Computes the same census as [`ComponentCensus::compute`], fanning the
@@ -156,29 +179,37 @@ impl ComponentCensus {
             }
         });
         // Roots of the atomic structure are already the canonical minima, so
-        // the fold needs no relabeling map.
+        // the fold needs no relabeling table.
         let mut component_of = Vec::with_capacity(n as usize);
-        let mut sizes: HashMap<u64, u64> = HashMap::new();
-        for v in 0..n {
-            let label = uf.find(v as usize) as u64;
-            component_of.push(label);
-            *sizes.entry(label).or_insert(0) += 1;
+        let mut sizes = vec![0u64; n as usize];
+        let mut num_components = 0;
+        for v in 0..n as usize {
+            let label = uf.find(v);
+            num_components += usize::from(label == v);
+            sizes[label] += 1;
+            component_of.push(label as u32);
         }
+        Self::from_dense(component_of, sizes, num_components)
+    }
+
+    fn from_dense(component_of: Vec<u32>, sizes: Vec<u64>, num_components: usize) -> Self {
+        let largest = sizes.iter().copied().max().unwrap_or(0);
         ComponentCensus {
             component_of,
             sizes,
-            num_vertices: n,
+            num_components,
+            largest,
         }
     }
 
     /// Number of vertices of the underlying graph.
     pub fn num_vertices(&self) -> u64 {
-        self.num_vertices
+        self.component_of.len() as u64
     }
 
     /// Number of connected components (isolated vertices count).
     pub fn num_components(&self) -> usize {
-        self.sizes.len()
+        self.num_components
     }
 
     /// The canonical label of the component containing `v` (the smallest
@@ -188,7 +219,7 @@ impl ComponentCensus {
     ///
     /// Panics if `v` is out of range.
     pub fn component_of(&self, v: VertexId) -> u64 {
-        self.component_of[v.0 as usize]
+        u64::from(self.component_of[v.0 as usize])
     }
 
     /// Returns `true` if `u` and `v` lie in the same component.
@@ -198,21 +229,21 @@ impl ComponentCensus {
 
     /// Size of the component containing `v`.
     pub fn component_size(&self, v: VertexId) -> u64 {
-        self.sizes[&self.component_of(v)]
+        self.sizes[self.component_of(v) as usize]
     }
 
     /// Size of the largest component.
     pub fn largest_component_size(&self) -> u64 {
-        self.sizes.values().copied().max().unwrap_or(0)
+        self.largest
     }
 
     /// Fraction of all vertices lying in the largest component (0 for the
     /// empty graph, which has no components at all).
     pub fn giant_fraction(&self) -> f64 {
-        if self.num_vertices == 0 {
+        if self.component_of.is_empty() {
             return 0.0;
         }
-        self.largest_component_size() as f64 / self.num_vertices as f64
+        self.largest as f64 / self.component_of.len() as f64
     }
 
     /// Returns `true` if `v` lies in (one of) the largest component(s).
@@ -222,7 +253,7 @@ impl ComponentCensus {
 
     /// The component sizes in descending order.
     pub fn sizes_descending(&self) -> Vec<u64> {
-        let mut sizes: Vec<u64> = self.sizes.values().copied().collect();
+        let mut sizes: Vec<u64> = self.sizes.iter().copied().filter(|&s| s > 0).collect();
         sizes.sort_unstable_by(|a, b| b.cmp(a));
         sizes
     }
@@ -238,17 +269,12 @@ impl ComponentCensus {
 
     /// All vertices of the largest component (ties broken by smallest label).
     pub fn giant_component_vertices(&self) -> Vec<VertexId> {
-        let largest = self.largest_component_size();
-        let label = self
-            .sizes
-            .iter()
-            .filter(|(_, &s)| s == largest)
-            .map(|(&l, _)| l)
-            .min()
-            .unwrap_or(0);
-        (0..self.num_vertices)
-            .filter(|&v| self.component_of[v as usize] == label)
-            .map(VertexId)
+        let Some(label) = self.sizes.iter().position(|&s| s == self.largest) else {
+            return Vec::new();
+        };
+        (0..self.component_of.len())
+            .filter(|&v| self.component_of[v] as usize == label)
+            .map(|v| VertexId(v as u64))
             .collect()
     }
 }

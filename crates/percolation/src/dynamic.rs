@@ -392,8 +392,8 @@ impl IncrementalCensus {
             applied: Vec::new(),
             open: HashSet::new(),
         };
-        graph.for_each_edge(&mut |e| {
-            if states.is_open(e) {
+        graph.for_each_edge(&mut |e, slot| {
+            if states.is_open_at(e, slot) {
                 census.apply(e);
             }
         });

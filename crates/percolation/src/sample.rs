@@ -37,6 +37,15 @@ pub trait EdgeStates {
     /// Returns `true` if `edge` survived (is open) in this instance.
     fn is_open(&self, edge: EdgeId) -> bool;
 
+    /// The state of `edge`, given its slot: `slot` must be
+    /// [`Topology::edge_index`]`(edge)` on the graph this instance covers,
+    /// as [`Topology::for_each_edge`] yields it. The default ignores the
+    /// slot; dense stores override it with one word read.
+    fn is_open_at(&self, edge: EdgeId, slot: u64) -> bool {
+        let _ = slot;
+        self.is_open(edge)
+    }
+
     /// Convenience wrapper: state of the edge `{a, b}` given its endpoints.
     fn is_open_between(
         &self,
@@ -115,9 +124,11 @@ impl EdgeStates for EdgeSampler {
 /// canonical edge indices.
 ///
 /// Built once per instance (one [`Topology::for_each_edge`] walk, asking
-/// `states` about each edge exactly once), after which every `is_open`
-/// query is a single bit read at the closed-form [`Topology::edge_index`]
-/// slot — no hashing, no `HashSet` probing. This is the backing store the
+/// `states` about each edge exactly once and setting the bit at the slot
+/// the walk yields), after which every `is_open` query is a single bit read
+/// at the closed-form [`Topology::edge_index`] slot — no hashing, no
+/// `HashSet` probing — and an `is_open_at` query, which is handed the slot,
+/// is the bit read alone. This is the backing store the
 /// dense analytics use: a component census or a chemical-distance BFS
 /// inspects each edge from both endpoints, so paying the hash once and
 /// reading bits afterwards wins as soon as the consumer touches the graph
@@ -166,12 +177,9 @@ impl<'g, T: Topology + ?Sized> BitsetSample<'g, T> {
             .expect("every topology indexes its edges");
         let mut words = vec![0u64; bound.div_ceil(64) as usize];
         let mut num_open = 0u64;
-        graph.for_each_edge(&mut |e| {
+        graph.for_each_edge(&mut |e, slot| {
             if states.is_open(e) {
-                let index = graph
-                    .edge_index(e)
-                    .expect("every edge of the topology has an index");
-                words[(index / 64) as usize] |= 1 << (index % 64);
+                words[(slot / 64) as usize] |= 1 << (slot % 64);
                 num_open += 1;
             }
         });
@@ -207,14 +215,28 @@ impl<'g, T: Topology + ?Sized> BitsetSample<'g, T> {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
+
+    #[inline]
+    fn bit(&self, slot: u64) -> bool {
+        self.words[(slot / 64) as usize] >> (slot % 64) & 1 == 1
+    }
 }
 
 impl<T: Topology + ?Sized> EdgeStates for BitsetSample<'_, T> {
     fn is_open(&self, edge: EdgeId) -> bool {
-        match self.graph.edge_index(edge) {
-            Some(index) => self.words[(index / 64) as usize] >> (index % 64) & 1 == 1,
-            None => false,
-        }
+        self.graph
+            .edge_index(edge)
+            .is_some_and(|slot| self.bit(slot))
+    }
+
+    #[inline]
+    fn is_open_at(&self, edge: EdgeId, slot: u64) -> bool {
+        debug_assert_eq!(
+            self.graph.edge_index(edge),
+            Some(slot),
+            "{edge} read at a slot that is not its edge index"
+        );
+        self.bit(slot)
     }
 }
 
@@ -283,6 +305,11 @@ impl EdgeStates for FrozenSample {
 impl<S: EdgeStates + ?Sized> EdgeStates for &S {
     fn is_open(&self, edge: EdgeId) -> bool {
         (**self).is_open(edge)
+    }
+
+    #[inline]
+    fn is_open_at(&self, edge: EdgeId, slot: u64) -> bool {
+        (**self).is_open_at(edge, slot)
     }
 }
 

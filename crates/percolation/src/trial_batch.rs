@@ -149,15 +149,12 @@ impl<'g, T: Topology + ?Sized> TrialBatch<'g, T> {
             .edge_index_bound()
             .expect("every topology indexes its edges");
         let mut words = vec![0u64; bound as usize];
-        graph.for_each_edge(&mut |e| {
-            let index = graph
-                .edge_index(e)
-                .expect("every edge of the topology has an index");
+        graph.for_each_edge(&mut |e, slot| {
             let mut word = 0u64;
             for (l, lane_states) in states.iter().enumerate() {
                 word |= u64::from(lane_states.is_open(e)) << l;
             }
-            words[index as usize] = word;
+            words[slot as usize] = word;
         });
         TrialBatch {
             graph,
@@ -290,7 +287,9 @@ impl<'g, T: Topology + ?Sized> TrialBatch<'g, T> {
 }
 
 /// A read-only [`EdgeStates`] view of one lane of a [`TrialBatch`]: each
-/// `is_open` query is a single bit read from the transposed store.
+/// `is_open` query is a single bit read from the transposed store, and each
+/// `is_open_at` query, handed the edge's slot, reads that slot's word
+/// directly.
 ///
 /// Like [`crate::BitsetSample`] (and unlike the lazy sampler), edges not in
 /// the topology report closed. Routing over a lane view is therefore
@@ -318,6 +317,16 @@ impl<'b, 'g, T: ?Sized> LaneView<'b, 'g, T> {
 impl<T: Topology + ?Sized> EdgeStates for LaneView<'_, '_, T> {
     fn is_open(&self, edge: EdgeId) -> bool {
         self.batch.edge_word(edge) >> self.lane & 1 == 1
+    }
+
+    #[inline]
+    fn is_open_at(&self, edge: EdgeId, slot: u64) -> bool {
+        debug_assert_eq!(
+            self.batch.graph.edge_index(edge),
+            Some(slot),
+            "{edge} read at a slot that is not its edge index"
+        );
+        self.batch.words[slot as usize] >> self.lane & 1 == 1
     }
 }
 

@@ -3,8 +3,9 @@
 //! Three implementations share this module:
 //!
 //! * [`UnionFind`] — the sequential structure: weighted union by size with
-//!   path compression; amortised near-constant operations, which keeps
-//!   whole-graph component censuses linear in the number of edges.
+//!   path halving over dense `u32` parent and size arrays (8 bytes per
+//!   element); amortised near-constant operations, which keeps whole-graph
+//!   component censuses linear in the number of edges.
 //! * [`AtomicUnionFind`] — a lock-free concurrent structure (`AtomicU32`
 //!   parents, CAS linking, path halving) backing
 //!   [`crate::components::ComponentCensus::compute_parallel`]. Unions always
@@ -42,16 +43,25 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// ```
 #[derive(Debug, Clone)]
 pub struct UnionFind {
-    parent: Vec<usize>,
-    size: Vec<usize>,
+    parent: Vec<u32>,
+    size: Vec<u32>,
     num_sets: usize,
 }
 
 impl UnionFind {
     /// Creates a structure with `len` singleton sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds `u32::MAX`: elements and set sizes are
+    /// stored as `u32`.
     pub fn new(len: usize) -> Self {
+        assert!(
+            len <= u32::MAX as usize,
+            "UnionFind universe of {len} elements exceeds u32 indices"
+        );
         UnionFind {
-            parent: (0..len).collect(),
+            parent: (0..len as u32).collect(),
             size: vec![1; len],
             num_sets: len,
         }
@@ -79,18 +89,22 @@ impl UnionFind {
     /// Panics if `x >= len()`.
     pub fn find(&mut self, x: usize) -> usize {
         assert!(x < self.parent.len(), "element {x} out of range");
-        let mut root = x;
-        while self.parent[root] != root {
-            root = self.parent[root];
+        self.root(x as u32) as usize
+    }
+
+    /// The root of `x` (in range), halving the path on the way: every
+    /// visited node is relinked to its grandparent.
+    #[inline]
+    fn root(&mut self, mut x: u32) -> u32 {
+        loop {
+            let p = self.parent[x as usize];
+            if p == x {
+                return x;
+            }
+            let gp = self.parent[p as usize];
+            self.parent[x as usize] = gp;
+            x = gp;
         }
-        // Path compression.
-        let mut cur = x;
-        while self.parent[cur] != root {
-            let next = self.parent[cur];
-            self.parent[cur] = root;
-            cur = next;
-        }
-        root
     }
 
     /// Merges the sets containing `a` and `b`. Returns `true` if they were
@@ -99,19 +113,22 @@ impl UnionFind {
     /// # Panics
     ///
     /// Panics if either element is out of range.
+    #[inline]
     pub fn union(&mut self, a: usize, b: usize) -> bool {
-        let ra = self.find(a);
-        let rb = self.find(b);
+        let len = self.parent.len();
+        assert!(a < len && b < len, "element {} out of range", a.max(b));
+        let ra = self.root(a as u32);
+        let rb = self.root(b as u32);
         if ra == rb {
             return false;
         }
-        let (big, small) = if self.size[ra] >= self.size[rb] {
+        let (big, small) = if self.size[ra as usize] >= self.size[rb as usize] {
             (ra, rb)
         } else {
             (rb, ra)
         };
-        self.parent[small] = big;
-        self.size[big] += self.size[small];
+        self.parent[small as usize] = big;
+        self.size[big as usize] += self.size[small as usize];
         self.num_sets -= 1;
         true
     }
@@ -124,19 +141,13 @@ impl UnionFind {
     /// Size of the set containing `x`.
     pub fn set_size(&mut self, x: usize) -> usize {
         let root = self.find(x);
-        self.size[root]
+        self.size[root] as usize
     }
 
     /// Size of the largest set.
     pub fn largest_set_size(&mut self) -> usize {
-        if self.parent.is_empty() {
-            return 0;
-        }
         (0..self.parent.len())
-            .map(|i| {
-                let root = self.find(i);
-                self.size[root]
-            })
+            .map(|i| self.set_size(i))
             .max()
             .unwrap_or(0)
     }

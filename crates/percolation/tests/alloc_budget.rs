@@ -7,9 +7,10 @@
 //!
 //! The budgets pin two properties that no timing would catch regressing:
 //! `BitsetSample::from_states` allocates its word vector and nothing else,
-//! and `ComponentCensus::compute` allocates a handful of tables whose count
-//! does not grow with |V| (one neighbor `Vec` per vertex would be more than
-//! 16 000 allocations on H₁₄).
+//! and `ComponentCensus::compute` allocates a fixed set of dense tables
+//! whose count depends on neither |V| nor the number of components (one
+//! neighbor `Vec` per vertex would be more than 16 000 allocations on H₁₄,
+//! and a hash map of sizes reallocates as components multiply).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -77,6 +78,10 @@ fn bitset_sample_from_states_allocates_once() {
     }
 }
 
+/// The census's tables: the union-find's parent and size arrays, the
+/// per-vertex labels and the per-label sizes.
+const CENSUS_ALLOCATIONS: u64 = 4;
+
 #[test]
 fn census_allocations_do_not_grow_with_the_graph() {
     for dimension in [10, 14] {
@@ -85,10 +90,7 @@ fn census_allocations_do_not_grow_with_the_graph() {
             let states = BitsetSample::from_config(&cube, &PercolationConfig::new(p, 3));
             let (census, allocations) =
                 allocations_during(|| ComponentCensus::compute(&cube, &states));
-            assert!(
-                allocations < 32,
-                "H_{dimension} at p = {p}: {allocations} allocations"
-            );
+            assert_eq!(allocations, CENSUS_ALLOCATIONS, "H_{dimension} at p = {p}");
             drop(census);
         }
     }

@@ -1,17 +1,24 @@
-//! Zoo-wide equivalence suite for the parallel component census.
+//! Zoo-wide equivalence suite for the component census.
 //!
-//! The contract under test: [`ComponentCensus::compute_parallel`] is
-//! **bit-identical** to the sequential [`ComponentCensus::compute`] — not
+//! Two contracts are under test. First, [`ComponentCensus::compute_parallel`]
+//! is **bit-identical** to the sequential [`ComponentCensus::compute`] — not
 //! just in the giant size, but in *every* public accessor — for every
 //! family in the topology zoo, every seed, and every thread count. Both
 //! passes label a component by its smallest vertex id (the sequential pass
 //! by an explicit relabeling fold, the parallel pass because its atomic
 //! union-find links larger roots under smaller ones), so equality holds by
 //! construction; this suite is what keeps that construction honest.
+//!
+//! Second, the census over a dense store — which reads each edge's bit at
+//! the slot the edge walk yields — equals the census over the lazy
+//! [`FaultInstance`] it was built from, which answers through the default
+//! `is_open_at` (no slot), for every fault model.
 
+use faultnet_faultmodel::{FaultInstance, FaultModelSpec};
 use faultnet_percolation::{
     components::ComponentCensus,
     sample::{BitsetSample, FrozenSample},
+    trial_batch::TrialBatch,
     PercolationConfig,
 };
 use faultnet_topology::{
@@ -161,6 +168,60 @@ proptest! {
                     &over_lazy,
                     &format!("{} (lazy), p {p}, seed {seed}, threads {threads}", graph.name()),
                 );
+            }
+        }
+    }
+}
+
+/// Lanes per batch in the slot-read suite: enough for a ragged word.
+const LANES: u64 = 3;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Slot reads against the lazy path: across the zoo × every fault model
+    /// (node faults and the adversary's cuts included), the census over a
+    /// `BitsetSample` and over each `LaneView` of a `TrialBatch` equals the
+    /// census over the lazy `FaultInstance`, accessor for accessor.
+    #[test]
+    fn slot_read_censuses_equal_the_lazy_census_across_the_zoo(
+        p in 0.0f64..1.0,
+        seed in any::<u64>(),
+    ) {
+        for graph in family_zoo() {
+            let graph = graph.as_ref();
+            let pair = graph.canonical_pair();
+            for spec in FaultModelSpec::ALL {
+                let model = spec.build();
+                let placement = model.pair_placement(graph, pair);
+                let instances: Vec<FaultInstance> = (0..LANES)
+                    .map(|l| {
+                        let cfg = PercolationConfig::new(p, seed.wrapping_add(l));
+                        model.instance_from_placement(&placement, graph, cfg, pair)
+                    })
+                    .collect();
+                let batch = TrialBatch::from_lane_states(graph, &instances);
+                for (lane, instance) in instances.iter().enumerate() {
+                    let context = format!(
+                        "{} ({}), p {p}, seed {seed}, lane {lane}",
+                        graph.name(),
+                        spec.cli_name()
+                    );
+                    let lazy = ComponentCensus::compute(graph, instance);
+                    let bitset = BitsetSample::from_states(graph, instance);
+                    assert_census_identical(
+                        graph,
+                        &lazy,
+                        &ComponentCensus::compute(graph, &bitset),
+                        &format!("{context} (bitset)"),
+                    );
+                    assert_census_identical(
+                        graph,
+                        &lazy,
+                        &ComponentCensus::compute(graph, &batch.lane_view(lane)),
+                        &format!("{context} (lane view)"),
+                    );
+                }
             }
         }
     }

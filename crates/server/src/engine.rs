@@ -41,9 +41,9 @@ pub type CensusCache = Mutex<LruCache<u64, Arc<CensusSummary>>>;
 /// kept in the census cache instead of the census itself: the totals, and
 /// per vertex its component's label as a `u32` (labels are vertex ids,
 /// below [`crate::query::MAX_VERTICES`]) so any pair's connectivity
-/// still answers from the cache. It takes half the census's memory or
-/// less: the census holds `u64` labels plus a map entry per component, so
-/// a sparse instance with many components costs it far more.
+/// still answers from the cache. It takes a third of the census's
+/// memory: the census holds a `u32` label and a dense `u64` size slot per
+/// vertex (12 bytes), the summary the 4-byte label alone.
 pub struct CensusSummary {
     num_vertices: u64,
     num_components: u64,

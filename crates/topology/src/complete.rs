@@ -67,6 +67,19 @@ impl Topology for CompleteGraph {
         ControlFlow::Continue(())
     }
 
+    /// Edges by low endpoint, then high endpoint: exactly the triangular
+    /// index order, so the slot is a running count.
+    #[inline]
+    fn for_each_edge(&self, f: &mut dyn FnMut(EdgeId, u64)) {
+        let mut slot = 0;
+        for v in 0..self.order {
+            for w in v + 1..self.order {
+                f(EdgeId::ordered(VertexId(v), VertexId(w)), slot);
+                slot += 1;
+            }
+        }
+    }
+
     fn degree(&self, _v: VertexId) -> usize {
         (self.order - 1) as usize
     }

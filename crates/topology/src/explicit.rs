@@ -11,7 +11,8 @@ use std::ops::ControlFlow;
 use crate::{EdgeId, Topology, VertexId};
 
 /// A graph stored as compressed sparse rows: one offset per vertex into a
-/// single array of sorted neighbor ids.
+/// single array of sorted neighbor ids, held as `u32` (so at most 2³²
+/// vertices).
 ///
 /// Vertex `v` *owns* the arcs to its larger neighbors (the upper part of
 /// its row), so every edge is owned by its lower endpoint exactly once.
@@ -35,7 +36,7 @@ pub struct ExplicitGraph {
     /// Row `v` is `targets[offsets[v]..offsets[v + 1]]`; `n + 1` entries.
     offsets: Vec<usize>,
     /// Every row's neighbors, each row sorted by id.
-    targets: Vec<VertexId>,
+    targets: Vec<u32>,
     /// Where row `v`'s upper part (the neighbors `> v`, which `v` owns)
     /// starts in `targets`.
     upper: Vec<usize>,
@@ -70,11 +71,13 @@ impl ExplicitGraph {
     ///
     /// # Panics
     ///
-    /// Panics if an endpoint is `>= n`.
+    /// Panics if an endpoint is `>= n`, or if `n` exceeds 2³² (neighbor ids
+    /// are stored as `u32`).
     pub fn from_edges<I>(n: u64, edges: I) -> Self
     where
         I: IntoIterator<Item = (u64, u64)>,
     {
+        assert!(n <= 1 << 32, "vertex count {n} out of range for u32 ids");
         let mut canonical: Vec<(u64, u64)> = Vec::new();
         for (a, b) in edges {
             assert!(a < n, "vertex v{a} out of range");
@@ -112,11 +115,11 @@ impl ExplicitGraph {
         // every row ends up fully sorted without a second pass, with its
         // owned arcs last.
         let mut cursor = offsets[..n].to_vec();
-        let mut targets = vec![VertexId(0); arcs];
+        let mut targets = vec![0u32; arcs];
         for &(a, b) in &canonical {
-            targets[cursor[a as usize]] = VertexId(b);
+            targets[cursor[a as usize]] = b as u32;
             cursor[a as usize] += 1;
-            targets[cursor[b as usize]] = VertexId(a);
+            targets[cursor[b as usize]] = a as u32;
             cursor[b as usize] += 1;
         }
         let upper = (0..n).map(|v| offsets[v + 1] - owned[v] as usize).collect();
@@ -150,7 +153,7 @@ impl ExplicitGraph {
     }
 
     /// The sorted neighbors of `v`.
-    fn row(&self, v: VertexId) -> &[VertexId] {
+    fn row(&self, v: VertexId) -> &[u32] {
         assert!(self.contains(v), "vertex {v} out of range");
         let v = v.0 as usize;
         &self.targets[self.offsets[v]..self.offsets[v + 1]]
@@ -167,7 +170,7 @@ impl Topology for ExplicitGraph {
     }
 
     fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        self.row(v).to_vec()
+        self.row(v).iter().map(|&w| VertexId(w.into())).collect()
     }
 
     /// Walks the stored row in place; no clone.
@@ -178,9 +181,24 @@ impl Topology for ExplicitGraph {
         f: &mut dyn FnMut(VertexId) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         for &w in self.row(v) {
-            f(w)?;
+            f(VertexId(w.into()))?;
         }
         ControlFlow::Continue(())
+    }
+
+    /// Each vertex's owned upper row, counting slots up from
+    /// `owned_before[v]`.
+    #[inline]
+    fn for_each_edge(&self, f: &mut dyn FnMut(EdgeId, u64)) {
+        for v in 0..self.upper.len() {
+            let owned = &self.targets[self.upper[v]..self.offsets[v + 1]];
+            for (slot, &w) in (self.owned_before[v]..).zip(owned) {
+                f(
+                    EdgeId::ordered(VertexId(v as u64), VertexId(w.into())),
+                    slot,
+                );
+            }
+        }
     }
 
     fn degree(&self, v: VertexId) -> usize {
@@ -204,7 +222,8 @@ impl Topology for ExplicitGraph {
         }
         let lo = edge.lo().0 as usize;
         let owned = &self.targets[self.upper[lo]..self.offsets[lo + 1]];
-        let rank = owned.binary_search(&edge.hi()).ok()?;
+        // `hi` is a vertex, so below 2³²: the conversion is exact.
+        let rank = owned.binary_search(&(edge.hi().0 as u32)).ok()?;
         Some(self.owned_before[lo] + rank as u64)
     }
 
@@ -338,5 +357,12 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_rejected() {
         let _ = ExplicitGraph::from_edges(2, [(0, 5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for u32 ids")]
+    fn vertex_count_beyond_u32_ids_rejected() {
+        // Refused before anything is allocated.
+        let _ = ExplicitGraph::from_edges((1 << 32) + 1, []);
     }
 }

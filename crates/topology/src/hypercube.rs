@@ -144,6 +144,25 @@ impl Topology for Hypercube {
         ControlFlow::Continue(())
     }
 
+    /// For each `v`, the zero bits `d` of `v` in ascending order: the edge
+    /// `{v, v | 2^d}` at slot `v·n + d`.
+    #[inline]
+    fn for_each_edge(&self, f: &mut dyn FnMut(EdgeId, u64)) {
+        let n = self.dimension as u64;
+        let all = self.num_vertices() - 1;
+        for v in 0..self.num_vertices() {
+            let mut up = !v & all;
+            while up != 0 {
+                let d = up.trailing_zeros();
+                f(
+                    EdgeId::ordered(VertexId(v), VertexId(v | 1 << d)),
+                    v * n + u64::from(d),
+                );
+                up &= up - 1;
+            }
+        }
+    }
+
     fn degree(&self, _v: VertexId) -> usize {
         self.dimension as usize
     }

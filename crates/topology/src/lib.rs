@@ -82,6 +82,14 @@ pub struct EdgeId {
 }
 
 impl EdgeId {
+    /// The edge `{lo, hi}` from endpoints already in canonical order, for
+    /// edge walks that know which endpoint is smaller.
+    #[inline]
+    pub(crate) fn ordered(lo: VertexId, hi: VertexId) -> Self {
+        debug_assert!(lo.0 < hi.0, "{lo} is not below {hi}");
+        EdgeId { lo, hi }
+    }
+
     /// Creates the canonical edge id for the unordered pair `{a, b}`.
     ///
     /// # Panics
@@ -267,19 +275,31 @@ pub trait Topology {
     /// [`Topology::for_each_edge`] order.
     fn edges(&self) -> Vec<EdgeId> {
         let mut out = Vec::with_capacity(self.num_edges() as usize);
-        self.for_each_edge(&mut |e| out.push(e));
+        self.for_each_edge(&mut |e, _| out.push(e));
         out
     }
 
-    /// Visits every edge once without materialising the list: each
-    /// vertex's neighbors, keeping the edges whose canonical low endpoint
-    /// is that vertex. Filling a store this way saves an `|E|`-entry
-    /// allocation per instance (8 MB on H₁₆).
-    fn for_each_edge(&self, f: &mut dyn FnMut(EdgeId)) {
+    /// Visits every edge once, with its [`Topology::edge_index`] slot,
+    /// without materialising the list: each vertex's neighbors, keeping the
+    /// edges whose canonical low endpoint is that vertex. Filling a store
+    /// this way saves an `|E|`-entry allocation per instance (8 MB on H₁₆),
+    /// and the slot lets stores and censuses read and write bits without
+    /// recomputing the index.
+    ///
+    /// The default computes each slot with `edge_index`; families whose
+    /// slot falls out of the walk override it in closed form. Every
+    /// override keeps this order, which the incremental census's union
+    /// order depends on; [`check_edge_index_contract`] pins both the order
+    /// and the slots.
+    fn for_each_edge(&self, f: &mut dyn FnMut(EdgeId, u64)) {
         for v in self.vertices() {
             let _ = self.for_each_neighbor(v, &mut |w| {
                 if v.0 < w.0 {
-                    f(EdgeId::new(v, w));
+                    let e = EdgeId::new(v, w);
+                    let slot = self
+                        .edge_index(e)
+                        .expect("every edge of the topology has an index");
+                    f(e, slot);
                 }
                 ControlFlow::Continue(())
             });
@@ -530,6 +550,9 @@ fn check_has_edge_agrees_with_neighbors<T: Topology>(graph: &T) {
 ///    for small graphs, a deterministic sample beyond that) and pairs with an
 ///    out-of-range endpoint are rejected, while adjacent pairs reproduce the
 ///    index recorded during enumeration.
+/// 5. [`Topology::for_each_edge`] yields every edge with `slot ==
+///    edge_index(e)`, in the order of the [`Topology::for_each_neighbor`]
+///    walk filtered to `v < w`.
 ///
 /// # Panics
 ///
@@ -611,6 +634,31 @@ pub fn check_edge_index_contract<T: Topology>(graph: &T) {
             "{name}: out-of-range pair {e} received an index"
         );
     }
+    // 5: the edge walk's slots are the edge indices, in neighbor-walk order.
+    let mut walked = Vec::new();
+    graph.for_each_edge(&mut |e, slot| walked.push((e, slot)));
+    let mut expected = Vec::new();
+    for v in graph.vertices() {
+        let _ = graph.for_each_neighbor(v, &mut |w| {
+            if v.0 < w.0 {
+                let e = EdgeId::new(v, w);
+                expected.push((e, graph.edge_index(e).unwrap_or(u64::MAX)));
+            }
+            ControlFlow::Continue(())
+        });
+    }
+    for (i, (got, want)) in walked.iter().zip(&expected).enumerate() {
+        assert_eq!(
+            got, want,
+            "{name}: for_each_edge entry {i} is not the neighbor walk's \
+             (edge, edge_index(edge))"
+        );
+    }
+    assert_eq!(
+        walked.len(),
+        expected.len(),
+        "{name}: for_each_edge and the neighbor walk yield different edge counts"
+    );
 }
 
 /// Generates one `#[test]` per listed family instance, running

@@ -153,6 +153,27 @@ impl Topology for Mesh {
         ControlFlow::Continue(())
     }
 
+    /// Per vertex, the step up along each axis that has one: the edge
+    /// `{v, v + side^axis}` at slot `v·d + axis`.
+    #[inline]
+    fn for_each_edge(&self, f: &mut dyn FnMut(EdgeId, u64)) {
+        let d = u64::from(self.dimension);
+        for v in 0..self.num_vertices() {
+            let mut rest = v;
+            let mut stride: u64 = 1;
+            for axis in 0..d {
+                if rest % self.side + 1 < self.side {
+                    f(
+                        EdgeId::ordered(VertexId(v), VertexId(v + stride)),
+                        v * d + axis,
+                    );
+                }
+                rest /= self.side;
+                stride *= self.side;
+            }
+        }
+    }
+
     fn max_degree(&self) -> usize {
         2 * self.dimension as usize
     }

@@ -147,6 +147,32 @@ impl Topology for Torus {
         ControlFlow::Continue(())
     }
 
+    /// Per vertex and axis, the wrap-around edge (at coordinate 0) and
+    /// then the step up (below the last coordinate), at slots
+    /// `(v·d + axis)·2 + {1, 0}`.
+    #[inline]
+    fn for_each_edge(&self, f: &mut dyn FnMut(EdgeId, u64)) {
+        let d = u64::from(self.dimension);
+        let wrap = self.side - 1;
+        for v in 0..self.num_vertices() {
+            let mut rest = v;
+            let mut stride: u64 = 1;
+            for axis in 0..d {
+                let c = rest % self.side;
+                let slot = (v * d + axis) * 2;
+                if c == 0 {
+                    let e = EdgeId::ordered(VertexId(v), VertexId(v + wrap * stride));
+                    f(e, slot + 1);
+                }
+                if c < wrap {
+                    f(EdgeId::ordered(VertexId(v), VertexId(v + stride)), slot);
+                }
+                rest /= self.side;
+                stride *= self.side;
+            }
+        }
+    }
+
     fn degree(&self, _v: VertexId) -> usize {
         2 * self.dimension as usize
     }
